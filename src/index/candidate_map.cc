@@ -11,7 +11,7 @@ size_t RoundUpPow2(size_t n) {
 }  // namespace
 
 CandidateMap::CandidateMap(size_t initial_capacity)
-    : slots_(RoundUpPow2(initial_capacity)) {}
+    : initial_capacity_(RoundUpPow2(initial_capacity)) {}
 
 void CandidateMap::Reset() {
   ++generation_;
@@ -23,37 +23,18 @@ void CandidateMap::Reset() {
   }
 }
 
-CandidateMap::Slot* CandidateMap::FindOrCreate(VectorId id) {
-  if (touched_.size() * 4 >= slots_.size() * 3) Grow();
-  size_t i = Mask(HashId(id));
-  while (true) {
-    Slot& s = slots_[i];
-    if (s.generation != generation_) {
-      s.id = id;
-      s.score = 0.0;
-      s.ts = 0.0;
-      s.generation = generation_;
-      touched_.push_back(static_cast<uint32_t>(i));
-      return &s;
-    }
-    if (s.id == id) return &s;
-    i = (i + 1) & (slots_.size() - 1);
-  }
-}
-
 void CandidateMap::Grow() {
   std::vector<Slot> old = std::move(slots_);
   std::vector<uint32_t> old_touched = std::move(touched_);
-  slots_.assign(old.size() * 2, Slot{});
+  slots_.assign(old.empty() ? initial_capacity_ : old.size() * 2, Slot{});
+  const size_t mask = slots_.size() - 1;
   touched_.clear();
   touched_.reserve(old_touched.size());
   for (uint32_t idx : old_touched) {
     const Slot& s = old[idx];
     if (s.generation != generation_) continue;
-    size_t i = Mask(HashId(s.id));
-    while (slots_[i].generation == generation_) {
-      i = (i + 1) & (slots_.size() - 1);
-    }
+    size_t i = s.id & mask;
+    while (slots_[i].generation == generation_) i = (i + 1) & mask;
     slots_[i] = s;
     touched_.push_back(static_cast<uint32_t>(i));
   }

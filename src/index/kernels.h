@@ -41,9 +41,8 @@ void DecayColumn(const Timestamp* ts, size_t n, Timestamp now, double lambda,
 
 // Single-entry decay through the same vector code path (a one-element
 // DecayColumn hits the padded-tail lane), so the value is bit-identical
-// to the one a full column pass would produce for that entry. Sharded
-// workers with sparse candidate ownership use this instead of computing
-// whole columns they would mostly not read.
+// to the one a full column pass would produce for that entry. The STR-L2
+// generate scan uses this once per candidate instead of a column per span.
 inline double DecayOne(Timestamp ts, Timestamp now, double lambda) {
   double out;
   simd::DecayBlock(&ts, 1, now, lambda, &out);

@@ -48,50 +48,33 @@
 
 namespace sssj {
 
-// Kernel selection plus the per-caller scratch the vectorized generate
-// scan accumulates into. With use_simd false (the default) every phase
-// runs the exact scalar reference code. With it true, the generate scan
-// precomputes each span's decay column with kernels::DecayColumn before
-// the per-entry walk, and verification's full dot products go through
+// Kernel selection plus per-caller scratch. With use_simd false (the
+// default) every phase runs the exact scalar reference code. With it
+// true, the generate scan evaluates each candidate's decay with
+// kernels::DecayOne, and verification's full dot products go through
 // kernels::SparseDot. Each concurrent caller (the sequential index, or
-// one shard worker) owns its own state; the decay buffer is reused
-// across spans and arrivals.
+// one shard worker) owns its own state.
 struct L2KernelState {
   bool use_simd = false;
-  // How many workers share this scan: each owns ~1/owner_share of the
-  // candidates (1 = sequential, S for a shard worker). Sparse ownership
-  // makes whole-column decay wasteful — every worker would vectorize
-  // exp over ALL entries, S-fold redundant across workers and more
-  // total exp work than the scalar path once S exceeds the vector
-  // speedup. Above the threshold below, workers evaluate decay per
-  // owned entry via kernels::DecayOne instead, which goes through the
-  // same vector code path and is bit-identical to the column values —
-  // so the choice never shows in the output.
-  size_t owner_share = 1;
-  std::vector<double> decay;  // span-sized scratch, grown on demand
+  // Span-sized decay column for STR-L2AP's forward scan (DecayForSpan),
+  // grown on demand and reused across spans and arrivals.
+  std::vector<double> decay;
   // Frozen-block decompression scratch for the tiered posting lists:
   // the generate scan thaws one cold block at a time into this buffer.
   // Per caller (sequential index / shard worker), so concurrent workers
   // never share decode state even when reading the same frozen block.
   FrozenColumns posting;
 
-  // Column pays off while the per-worker share of entries is dense
-  // enough that len · (vectorized exp) < (len/S) · (one-lane exp);
-  // with a ~4x lane win that crosses over around S = 4.
-  static constexpr size_t kMaxOwnerShareForColumn = 4;
-
-  // Fills decay[0..len) for a span and returns the buffer; nullptr when
-  // the caller should evaluate per entry instead (scalar path: libm
-  // std::exp; simd path with sparse ownership: kernels::DecayOne). No
+  // Fills decay[0..len) for a span and returns the buffer; nullptr on the
+  // scalar path, where the caller evaluates libm std::exp per entry. No
   // span length gate on purpose: span boundaries (buffer wrap points)
   // can differ between otherwise-identical runs (eager vs deferred
   // expiry), and the simd path's per-element values must not depend on
   // how spans batch — DecayColumn and DecayOne guarantee exactly that
-  // (padded tails, see util/simd.h), which keeps the "identical output
-  // for every thread count" determinism bar intact.
+  // (padded tails, see util/simd.h).
   const double* DecayForSpan(const PostingSpan& sp, Timestamp now,
                              double lambda) {
-    if (!use_simd || owner_share > kMaxOwnerShareForColumn) return nullptr;
+    if (!use_simd) return nullptr;
     if (decay.size() < sp.len) decay.resize(sp.len);
     kernels::DecayColumn(sp.ts, sp.len, now, lambda, decay.data());
     return decay.data();
@@ -147,11 +130,16 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
 // search on the `ts` column and reported to `on_expired`; the live suffix
 // is then walked newest → oldest over raw per-column pointers,
 // accumulating dot-product contributions into `cands` for every candidate
-// accepted by `owns`. The `id`/`ts` columns are read densely; `value` and
-// `prefix_norm` are only touched for owned, admitted candidates. The
-// traversal visits live entries in exactly the order of the original
-// per-entry scan, so per-candidate floating-point accumulation — and with
-// it the sharded determinism contract — is unchanged.
+// accepted by `owns`. Each posting costs one accumulator probe: a final
+// (pruned) slot is skipped before any other work, and the candidate's
+// decay is evaluated once, on first touch, and cached in its slot (every
+// posting of a candidate carries the candidate's own ts, so the cached
+// value is the one a per-posting evaluation would produce, bit for bit).
+// The `id` column is read densely; `ts`, `value` and `prefix_norm` are
+// only touched for owned, unpruned candidates. The traversal visits live
+// entries in exactly the order of the original per-entry scan, so
+// per-candidate floating-point accumulation — and with it the sharded
+// determinism contract — is unchanged.
 template <typename ListLookup, typename OwnsCandidate, typename OnExpired>
 void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
                           const L2IndexOptions& options,
@@ -189,30 +177,24 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
       list->ForSpansNewestFirst(
           list->size() - live, list->size(), posting_scratch,
           [&](const PostingSpan& sp) {
-        // SIMD path with dense ownership: one vectorized exp pass over
-        // the span's ts column. SIMD path with sparse ownership (high
-        // shard counts): per owned entry via DecayOne — bit-identical
-        // values, no redundant column work across workers. Scalar path:
-        // per-entry std::exp, the bit-exact reference.
-        const double* decay_col =
-            kernel == nullptr ? nullptr
-                              : kernel->DecayForSpan(sp, x.ts, params.lambda);
         for (size_t k = sp.len; k-- > 0;) {  // newest entry first
           const VectorId eid = sp.id[k];
           if (!owns(eid)) continue;
           ++stats->entries_traversed;
-          const double decay =
-              decay_col != nullptr
-                  ? decay_col[k]
-                  : (kernel_exp
-                         ? kernels::DecayOne(sp.ts[k], x.ts, params.lambda)
-                         : std::exp(-params.lambda * (x.ts - sp.ts[k])));
           CandidateMap::Slot* slot = cands->FindOrCreate(eid);
-          if (slot->score < 0.0) continue;  // l2-pruned: final
-          if (slot->score == 0.0) {
-            // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled).
+          if (slot->score < 0.0) continue;  // pruned: final
+          if (slot->score == 0.0) {         // first touch
+            // SIMD path: DecayOne, bit-identical to a DecayColumn value.
+            // Scalar path: libm std::exp, the bit-exact reference.
+            slot->decay =
+                kernel_exp ? kernels::DecayOne(sp.ts[k], x.ts, params.lambda)
+                           : std::exp(-params.lambda * (x.ts - sp.ts[k]));
+            // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled). rs2
+            // never grows along the reverse-coordinate scan and the decay
+            // is fixed per candidate, so a rejection is final.
             if (options.use_remscore_bound &&
-                !BoundAtLeast(rs2 * decay, params.theta)) {
+                !BoundAtLeast(rs2 * slot->decay, params.theta)) {
+              slot->score = CandidateMap::kPruned;
               continue;
             }
             slot->ts = sp.ts[k];
@@ -222,7 +204,8 @@ void L2GenerateCandidates(const StreamItem& x, const DecayParams& params,
           slot->score += c.value * sp.value[k];
           if (options.use_l2bound) {
             const double l2bound =
-                slot->score + prefix_norms[i] * sp.prefix_norm[k] * decay;
+                slot->score +
+                prefix_norms[i] * sp.prefix_norm[k] * slot->decay;
             if (!BoundAtLeast(l2bound, params.theta)) {
               slot->score = CandidateMap::kPruned;
               ++stats->l2_prunes;

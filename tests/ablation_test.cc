@@ -46,6 +46,48 @@ TEST_P(L2TogglesTest, EveryBoundComboMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, L2TogglesTest, ::testing::Range(0, 8));
 
+// A bound only skips work: on one stream, all eight combos must emit the
+// very same pairs — same ids, same timestamps, same dot and sim bits. The
+// generate scan's "a remscore rejection is final" shortcut relies on it.
+TEST(L2TogglesTest, EveryBoundComboEmitsBitIdenticalPairs) {
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.03, &params));
+  const Stream stream = TestStream(42);
+
+  const auto run = [&](int mask, RunStats* stats) {
+    L2IndexOptions opts;
+    opts.use_remscore_bound = mask & 1;
+    opts.use_l2bound = mask & 2;
+    opts.use_ps1_bound = mask & 4;
+    StreamL2Index index(params, opts);
+    CollectorSink sink;
+    for (const StreamItem& item : stream) index.ProcessArrival(item, &sink);
+    *stats = index.stats();
+    return sink.SortedPairs();
+  };
+
+  RunStats all_off;
+  const std::vector<ResultPair> reference = run(0, &all_off);
+  ASSERT_FALSE(reference.empty()) << "degenerate test input";
+  for (int mask = 1; mask < 8; ++mask) {
+    RunStats stats;
+    const std::vector<ResultPair> got = run(mask, &stats);
+    ASSERT_EQ(got.size(), reference.size()) << "mask " << mask;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].a, reference[i].a) << "mask " << mask << " at " << i;
+      ASSERT_EQ(got[i].b, reference[i].b) << "mask " << mask << " at " << i;
+      EXPECT_EQ(got[i].ta, reference[i].ta) << "mask " << mask << " at " << i;
+      EXPECT_EQ(got[i].tb, reference[i].tb) << "mask " << mask << " at " << i;
+      EXPECT_EQ(got[i].dot, reference[i].dot) << "mask " << mask << " at " << i;
+      EXPECT_EQ(got[i].sim, reference[i].sim) << "mask " << mask << " at " << i;
+    }
+    if (mask & 1) {  // the admission bound must actually reject something
+      EXPECT_LT(stats.candidates_generated, all_off.candidates_generated)
+          << "mask " << mask;
+    }
+  }
+}
+
 TEST(L2TogglesTest, DisablingBoundsIncreasesWork) {
   DecayParams params;
   ASSERT_TRUE(DecayParams::Make(0.8, 0.01, &params));

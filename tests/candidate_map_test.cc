@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "util/random.h"
 
 namespace sssj {
+
+class CandidateMapPeer {
+ public:
+  static void SetGeneration(CandidateMap* m, uint32_t g) {
+    m->generation_ = g;
+  }
+};
+
 namespace {
 
 TEST(CandidateMapTest, FreshSlotIsZero) {
@@ -108,6 +119,110 @@ TEST(CandidateMapTest, ManyGenerationsStayIsolated) {
     for (const auto& [id, score] : oracle) {
       ASSERT_NEAR(got[id], score, 1e-12);
     }
+  }
+}
+
+// Drives one generation over `ids` (repeats included) and checks the map
+// against a std::unordered_map + first-touch vector reference: every
+// probe lands on the slot holding that id's state, a fresh id gets a zero
+// slot, pruned slots stay pruned, and ForEachLive walks the live ids in
+// first-touch order.
+void RunGenerationAgainstReference(CandidateMap* m,
+                                   const std::vector<VectorId>& ids,
+                                   Rng* rng) {
+  m->Reset();
+  std::unordered_map<VectorId, double> score;
+  std::vector<VectorId> order;
+  for (VectorId id : ids) {
+    CandidateMap::Slot* s = m->FindOrCreate(id);
+    ASSERT_EQ(s->id, id);
+    const auto [it, fresh] = score.try_emplace(id, 0.0);
+    if (fresh) order.push_back(id);
+    ASSERT_EQ(s->score, it->second) << "id " << id;
+    ASSERT_EQ(m->touched_count(), order.size());
+    if (s->score < 0.0) continue;
+    if (rng->NextBelow(8) == 0) {
+      s->score = it->second = CandidateMap::kPruned;
+    } else {
+      const double add = static_cast<double>(1 + rng->NextBelow(4));
+      s->score += add;
+      it->second += add;
+      s->ts = static_cast<Timestamp>(id % 1000);
+    }
+  }
+  // A repeated probe still finds the same state, also after any growth.
+  for (VectorId id : order) {
+    const CandidateMap::Slot* s = m->FindOrCreate(id);
+    ASSERT_EQ(s->id, id);
+    ASSERT_EQ(s->score, score[id]) << "id " << id;
+  }
+  ASSERT_EQ(m->touched_count(), order.size());
+  std::vector<VectorId> expected;
+  for (VectorId id : order) {
+    if (score[id] > 0.0) expected.push_back(id);
+  }
+  std::vector<VectorId> got;
+  m->ForEachLive([&](VectorId id, double s, Timestamp ts) {
+    got.push_back(id);
+    EXPECT_EQ(s, score[id]) << "id " << id;
+    EXPECT_EQ(ts, static_cast<Timestamp>(id % 1000)) << "id " << id;
+  });
+  EXPECT_EQ(got, expected);
+}
+
+// Draws `n` ids (with repeats) from `pool`.
+std::vector<VectorId> Draw(const std::vector<VectorId>& pool, size_t n,
+                           Rng* rng) {
+  std::vector<VectorId> ids(n);
+  for (VectorId& id : ids) id = pool[rng->NextBelow(pool.size())];
+  return ids;
+}
+
+// Slots are keyed on id & mask, so ids sharing their low bits all land on
+// one home slot. Linear probing must keep such ids — and arbitrary 64-bit
+// ids — correct across growth and resets; only speed may suffer.
+TEST(CandidateMapTest, AdversarialIdsMatchReference) {
+  Rng rng(17);
+  std::vector<std::vector<VectorId>> pools(4);
+  for (VectorId k = 0; k < 400; ++k) {
+    pools[0].push_back(k * 1024);               // multiples of the table size
+    pools[1].push_back(k << 32);                // colliding after any growth
+    pools[2].push_back(rng.NextU64());          // random 64-bit ids
+    pools[3].push_back((VectorId{1} << 40) + k);  // consecutive, high base
+  }
+  for (const std::vector<VectorId>& pool : pools) {
+    CandidateMap m(16);  // small start: the early generations grow
+    for (int gen = 0; gen < 40; ++gen) {
+      const size_t n = 1 + rng.NextBelow(2 * pool.size());
+      RunGenerationAgainstReference(&m, Draw(pool, n, &rng), &rng);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// When the 32-bit generation stamp wraps back to 1, slots stamped in an
+// early generation must not come back to life. Two colliding clusters of
+// multiples of the table size keep the early slots untouched until the
+// wrap, when the early generation's stamp is current again.
+TEST(CandidateMapTest, GenerationWrapDropsStaleSlots) {
+  constexpr VectorId kTable = 4096;  // no growth below 3072 ids
+  Rng rng(23);
+  std::vector<VectorId> early, late;
+  for (VectorId k = 0; k < 100; ++k) {
+    early.push_back(k * kTable);        // cluster from slot 0
+    late.push_back(2000 + k * kTable);  // cluster from slot 2000
+  }
+  CandidateMap m(kTable);
+  CandidateMapPeer::SetGeneration(&m, 1);
+  RunGenerationAgainstReference(&m, Draw(early, 300, &rng), &rng);  // gen 2
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  CandidateMapPeer::SetGeneration(&m, UINT32_MAX - 2);
+  // Generations UINT32_MAX - 1, UINT32_MAX, then 1, 2, 3 after the wrap.
+  const std::vector<VectorId>* pools[] = {&late, &late, &late, &early,
+                                          &early};
+  for (const std::vector<VectorId>* pool : pools) {
+    RunGenerationAgainstReference(&m, Draw(*pool, 300, &rng), &rng);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
 }
 

@@ -139,10 +139,9 @@ TEST_F(KernelEquivalenceTest, StreamingL2apSamePairSetWithinTolerance) {
 // The SIMD kernels are element-wise, batching-invariant, with no
 // cross-lane reductions, so the sharded engine's output is the same for
 // every thread count on the simd path too (and matches the sequential
-// simd run pair for pair). 8 threads exceeds the column threshold
-// (L2KernelState::kMaxOwnerShareForColumn), so this also pins that the
-// per-owned-entry DecayOne path produces the very bits the sequential
-// engine's full-column pass does.
+// simd run pair for pair). Every worker, like the sequential engine,
+// evaluates each owned candidate's decay once with DecayOne, so this also
+// pins that shard-private accumulator maps reproduce the sequential bits.
 TEST_F(KernelEquivalenceTest, ShardedSimdMatchesSequentialSimd) {
   const Stream& stream = WebSpamStream();
   const auto seq = RunEngine(Framework::kStreaming, IndexScheme::kL2,
