@@ -18,7 +18,6 @@
 #include "data/generator.h"
 #include "index/candidate_map.h"
 #include "index/kernels.h"
-#include "index/l2_phases.h"
 #include "index/max_vector.h"
 #include "index/posting_list.h"
 #include "index/stream_inv_index.h"
@@ -218,11 +217,10 @@ BENCHMARK(BM_TinyListBuildScanSoA);
 
 // ---- Kernel sweep: scalar vs SIMD scoring kernels ----
 // BM_DecayColumn* measures the raw decay kernel (exp over a dense ts
-// column); BM_L2GenerateScan* measures the full generate-phase inner loop
-// (decay + candidate map + l2bound) exactly as l2_phases.h runs it, which
-// is where the long-list (λ=0.001-regime) speedup target lives. Entry
-// timestamps are spread across one time horizon τ = ln(1/θ)/λ so every
-// entry is live and passes admission — the long-window steady state.
+// column). Entry timestamps are spread across one time horizon
+// τ = ln(1/θ)/λ so every entry is live — the long-window steady state.
+// The STR-L2 generate scan itself is measured end to end per arrival by
+// BM_StreamArrival and by perfbench's index rung (index.arrival_us).
 
 constexpr double kKernelTheta = 0.7;
 constexpr double kKernelLambda = 0.001;
@@ -261,74 +259,6 @@ void BM_DecayColumnSimd(benchmark::State& state) {
   state.SetLabel(ToString(ActiveSimdLevel()));
 }
 BENCHMARK(BM_DecayColumnSimd)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
-
-// One posting list in the long-window steady state: distinct candidate
-// ids, values/prefix-norms in the realistic unit range.
-PostingList MakeKernelSweepList(size_t n) {
-  PostingList list;
-  Rng rng(13);
-  const double tau = std::log(1.0 / kKernelTheta) / kKernelLambda;
-  for (size_t i = 0; i < n; ++i) {
-    list.Append(static_cast<VectorId>(i), 0.05 + 0.3 * rng.NextDouble(),
-                0.5 + 0.45 * rng.NextDouble(),
-                static_cast<double>(i) * tau / n);
-  }
-  return list;
-}
-
-template <bool kSimd>
-void BM_L2GenerateScan(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const PostingList list = MakeKernelSweepList(n);
-  const double tau = std::log(1.0 / kKernelTheta) / kKernelLambda;
-  const Timestamp now = tau;
-  const double qv = 0.12;   // query coordinate value
-  const double qpn = 0.9;   // query prefix norm ||x'_i||
-  CandidateMap cands;
-  L2KernelState kern;
-  kern.use_simd = kSimd;
-  uint64_t admitted = 0;
-  for (auto _ : state) {
-    cands.Reset();
-    PostingSpan spans[2];
-    const size_t nspans = list.Spans(0, list.size(), spans);
-    for (size_t si = nspans; si-- > 0;) {
-      const PostingSpan& sp = spans[si];
-      const double* decay_col = kern.DecayForSpan(sp, now, kKernelLambda);
-      for (size_t k = sp.len; k-- > 0;) {
-        const double decay =
-            decay_col != nullptr
-                ? decay_col[k]
-                : std::exp(-kKernelLambda * (now - sp.ts[k]));
-        CandidateMap::Slot* slot = cands.FindOrCreate(sp.id[k]);
-        if (slot->score < 0.0) continue;
-        if (slot->score == 0.0) {
-          if (!BoundAtLeast(1.0 * decay, kKernelTheta)) continue;
-          slot->ts = sp.ts[k];
-          cands.NoteAdmitted();
-        }
-        slot->score += qv * sp.value[k];
-        const double l2bound =
-            slot->score + qpn * sp.prefix_norm[k] * decay;
-        if (!BoundAtLeast(l2bound, kKernelTheta)) {
-          slot->score = CandidateMap::kPruned;
-        }
-      }
-    }
-    admitted += cands.admitted();
-    benchmark::DoNotOptimize(admitted);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-  state.SetLabel(kSimd ? ToString(ActiveSimdLevel()) : "scalar");
-}
-// Lengths span the λ=0.001 long-window regime (hundreds to thousands of
-// live entries per list; the tiny-window laptop regime averages ~4). At
-// multi-100k lengths the candidate map outgrows cache and its misses
-// drown the exp win — that regime is the map's problem, not the kernel's.
-BENCHMARK_TEMPLATE(BM_L2GenerateScan, false)
-    ->Arg(1 << 8)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14);
-BENCHMARK_TEMPLATE(BM_L2GenerateScan, true)
-    ->Arg(1 << 8)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14);
 
 // Verify-path dot shapes: balanced merges (query vs query-sized prefix)
 // and the skewed merges the residual store actually produces (long query

@@ -29,13 +29,10 @@
 //                        scalar; STR-L2/L2AP scores agree within 1e-9
 //                        relative. auto picks simd when the CPU has a
 //                        vector ISA (AVX2/SSE2/NEON).
-//   --threads=<n>        worker threads for the parallel hot paths
-//                        (default 1 = sequential). STR-L2: the sharded
-//                        index — same pair set and scores, but line order
-//                        in --output may differ across thread counts.
-//                        Any MB scheme: the window-close query fan-out —
-//                        output is bit-identical for every thread count.
-//                        STR-INV/STR-L2AP ignore it.
+//   --threads=<n>        worker threads for the MB window-close query
+//                        fan-out (default 1 = sequential); output is
+//                        bit-identical for every thread count. Every STR
+//                        scheme ignores it and runs sequentially.
 //   --output=<path>      write pairs as "a b t_a t_b dot sim" (default:
 //                        stdout)
 //   --quiet              suppress per-pair output on stdout; pairs still
@@ -77,9 +74,9 @@
 //                        score precision (see ARCHITECTURE.md)
 //   --checkpoint-in=<path>
 //                        restore engine state from a checkpoint before
-//                        pushing the stream (STR-L2 single-threaded
-//                        native format; --index=AUTO engines read and
-//                        write the portable format instead, any scheme).
+//                        pushing the stream (STR-L2 native format;
+//                        --index=AUTO engines read and write the
+//                        portable format instead, any scheme).
 //                        A corrupt, truncated, or mismatched file exits
 //                        with status 2 and a message naming what was
 //                        wrong — it never runs the join on partial state
@@ -349,7 +346,7 @@ int main(int argc, char** argv) {
     }
     engine = *std::move(engine_or);
     // Knobs the chosen configuration accepts but ignores (e.g. --threads
-    // under STR-INV) are silently-dropped settings; surface them.
+    // under any STR scheme) are silently-dropped settings; surface them.
     for (const std::string& note : engine->configuration_notes()) {
       std::fprintf(stderr, "note: %s\n", note.c_str());
     }

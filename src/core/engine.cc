@@ -7,7 +7,6 @@
 
 #include "index/inv_index.h"
 #include "index/prefix_index.h"
-#include "index/sharded_stream_index.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
@@ -74,7 +73,7 @@ class WatermarkFilterSink : public ResultSink {
 };
 
 const char* kNativeOnlyMessage =
-    "checkpointing is supported for single-threaded STR-L2 only";
+    "checkpointing is supported for STR-L2 only";
 
 template <typename T>
 void WriteRaw(std::ostream& os, const T& value) {
@@ -154,10 +153,10 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
         "forces continual re-indexing, see §5.2); use STR-L2AP or MB-AP "
         "instead");
   }
-  const size_t num_threads =
-      config.num_threads < 1 ? 1 : static_cast<size_t>(config.num_threads);
   const bool use_simd = KernelModeUsesSimd(config.kernel);
   if (framework == Framework::kMiniBatch) {
+    const size_t num_threads =
+        config.num_threads < 1 ? 1 : static_cast<size_t>(config.num_threads);
     const double theta = config.theta;
     auto factory = [scheme, theta, use_simd] {
       return MakeBatchIndex(scheme, theta, use_simd);
@@ -185,14 +184,8 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
                                                 use_simd, config.tiered);
       break;
     case IndexScheme::kL2:
-      if (num_threads > 1) {
-        index = std::make_unique<ShardedStreamIndex>(
-            params, num_threads, config.pool, L2IndexOptions{}, use_simd,
-            config.tiered);
-      } else {
-        index = std::make_unique<StreamL2Index>(params, L2IndexOptions{},
-                                                use_simd, config.tiered);
-      }
+      index = std::make_unique<StreamL2Index>(params, L2IndexOptions{},
+                                              use_simd, config.tiered);
       break;
     case IndexScheme::kAp:
     case IndexScheme::kAuto:
@@ -319,15 +312,13 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
     if (is_auto) {
       engine->config_notes_.push_back(
           "num_threads=" + std::to_string(config.num_threads) +
-          " applies only while the active scheme is STR-L2 or a MiniBatch "
-          "scheme; STR-INV/STR-L2AP phases of an AUTO run are sequential");
-    } else if (config.framework == Framework::kStreaming &&
-               (config.index == IndexScheme::kInv ||
-                config.index == IndexScheme::kL2ap)) {
+          " applies only while a MiniBatch scheme is active; STR phases of "
+          "an AUTO run are sequential");
+    } else if (config.framework == Framework::kStreaming) {
       engine->config_notes_.push_back(
           "num_threads=" + std::to_string(config.num_threads) +
-          " is ignored: STR-INV and STR-L2AP run sequentially (only STR-L2 "
-          "shards its index; every MB scheme parallelizes window closes)");
+          " is ignored: every STR scheme runs sequentially (only MB "
+          "schemes parallelize window closes)");
     }
   }
   if (config.tiered.enabled) {
@@ -506,7 +497,7 @@ bool SssjEngine::MigrationEnabled() const {
 
 bool SssjEngine::NativeCheckpointable() const {
   return active_framework_ == Framework::kStreaming &&
-         active_scheme_ == IndexScheme::kL2 && config_.num_threads <= 1;
+         active_scheme_ == IndexScheme::kL2;
 }
 
 namespace {

@@ -7,7 +7,6 @@
 //   cfg.index = sssj::IndexScheme::kL2;
 //   cfg.theta = 0.7;
 //   cfg.lambda = 0.01;
-//   cfg.num_threads = 4;            // shard the STR-L2 hot path (optional)
 //   sssj::CallbackSink sink([](const sssj::ResultPair& p) { ... });
 //   auto engine = sssj::SssjEngine::Make(cfg, &sink);
 //   if (!engine.ok()) { /* engine.status() says exactly why */ }
@@ -29,18 +28,11 @@
 // engines behind one manager with a shared thread pool — lives one layer
 // up in core/join_service.h.
 //
-// Parallel execution: with num_threads > 1 the STR-L2 configuration runs
-// on a dimension-sharded index (index/sharded_stream_index.h) that
-// parallelizes candidate generation, verification, and index maintenance
-// across a fixed thread pool while emitting exactly the pair set the
-// sequential engine would, with bit-identical per-pair scores. Output is
-// fully deterministic for a fixed thread count; across different thread
-// counts the *set* is identical but the per-arrival emission order may
-// differ (pairs are merged in shard order rather than candidate-touch
-// order). Every MB configuration (MB-INV/AP/L2AP/L2) parallelizes the
-// query phase of each window close (stream/minibatch.h) and emits a pair
-// sequence bit-identical to the sequential engine for any thread count.
-// STR-INV and STR-L2AP ignore num_threads and run sequentially.
+// Parallel execution: with num_threads > 1 every MB configuration
+// (MB-INV/AP/L2AP/L2) parallelizes the query phase of each window close
+// (stream/minibatch.h) and emits a pair sequence bit-identical to the
+// sequential engine for any thread count. Every STR configuration
+// ignores num_threads and runs sequentially.
 #ifndef SSSJ_CORE_ENGINE_H_
 #define SSSJ_CORE_ENGINE_H_
 
@@ -86,21 +78,18 @@ struct EngineConfig {
   // When true (default), Push() unit-normalizes input vectors. When false,
   // non-unit vectors are rejected (the similarity bounds require ||x||=1).
   bool normalize_inputs = true;
-  // Worker threads for the parallel hot paths: the sharded STR-L2 index
-  // and the MiniBatch window-close query fan-out (any MB scheme). 1
-  // (default) keeps the exact sequential engine — including checkpoint
-  // support for STR-L2. Values > 1 are deterministic: MB output is
-  // bit-identical for any thread count; sharded STR-L2 emits the same
-  // pair set with bit-identical scores (checkpointing is not yet
-  // supported there). Ignored by STR-INV and STR-L2AP. Values < 1 are
-  // clamped to 1.
+  // Worker threads for the MiniBatch window-close query fan-out (any MB
+  // scheme). 1 (default) keeps the sequential close. Values > 1 are
+  // deterministic: MB output is bit-identical for any thread count.
+  // Ignored by every STR scheme (configuration_notes() says so). Values
+  // < 1 are clamped to 1.
   int num_threads = 1;
-  // Optional pool for those parallel paths, shared with other engines
+  // Optional pool for that fan-out, shared with other engines
   // (JoinService sets this so N sessions share one pool instead of
-  // spawning N). Null (default) gives the engine a private pool when
+  // spawning N). Null (default) gives an MB engine a private pool when
   // num_threads > 1. The pool serializes concurrent fork/join jobs, and
   // which pool runs the work never affects the output (determinism hangs
-  // on num_threads — the shard/chunk count — not on pool size).
+  // on num_threads — the chunk count — not on pool size).
   std::shared_ptr<ThreadPool> pool;
   // Scoring-kernel selection for the hot posting-scan loops
   // (index/kernels.h). kScalar (default) is the bit-exact reference path.
@@ -118,11 +107,11 @@ struct EngineConfig {
   // scans decompress one block at a time into per-caller scratch. With the
   // default value_tier == ValueTier::kExact the value/prefix_norm columns
   // stay raw fp64 and the emitted pair sequence and scores are
-  // bit-identical to the untiered engine for every STR scheme (sequential
-  // and sharded, any thread count). kBf16/kF16 additionally quantize the
-  // value columns (prefix_norm rounds *up*, keeping the l2bound a valid
-  // upper bound) — the output then approximates the exact engine. Applies
-  // to the STR schemes; MB windows are short-lived and ignore it.
+  // bit-identical to the untiered engine for every STR scheme. kBf16/kF16
+  // additionally quantize the value columns (prefix_norm rounds *up*,
+  // keeping the l2bound a valid upper bound) — the output then
+  // approximates the exact engine. Applies to the STR schemes; MB windows
+  // are short-lived and ignore it.
   TieredStorageOptions tiered;
   // Ingestion mode and queue/epoch/backpressure tuning (core/ingest_pump.h).
   // The default (IngestMode::kInline) keeps Push synchronous and makes
@@ -279,7 +268,7 @@ class SssjEngine {
   VectorId reported_watermark() const { return watermark_; }
 
   // Human-readable diagnostics for configuration knobs this combination
-  // accepts but does not use (e.g. num_threads under STR-INV/STR-L2AP,
+  // accepts but does not use (e.g. num_threads under any STR scheme,
   // tiered storage under MB). Empty when every knob is in effect.
   // Stable for the engine's lifetime.
   const std::vector<std::string>& configuration_notes() const {
@@ -290,9 +279,9 @@ class SssjEngine {
   // formats distinguished by their magic:
   //   SSSJENG2 (native)   written by non-migration engines; serializes
   //                       the STR-L2 index in place. Supported for the
-  //                       single-threaded STR-L2 configuration only (the
-  //                       paper's recommended index); other configs
-  //                       return kUnimplemented. Restoring into an engine
+  //                       STR-L2 configuration only (the paper's
+  //                       recommended index); other configs return
+  //                       kUnimplemented. Restoring into an engine
   //                       with the same config and replaying the
   //                       remainder of the stream yields exactly the
   //                       output an uninterrupted run would have produced
@@ -343,7 +332,7 @@ class SssjEngine {
   // SwitchScheme: adaptive.enable_migration or index == kAuto.
   bool MigrationEnabled() const;
   // True when the native (SSSJENG2, index-serializing) checkpoint format
-  // applies: the active core is single-threaded STR-L2.
+  // applies: the active core is STR-L2.
   bool NativeCheckpointable() const;
   // Portable (SSSJENG3) checkpoint writer/reader. RestorePortable parses
   // and validates the whole file first, then builds a fresh core of the

@@ -159,8 +159,7 @@ bool JoinService::Evictable(const Session& session) {
     return true;
   }
   return session.config.framework == Framework::kStreaming &&
-         session.config.index == IndexScheme::kL2 &&
-         session.config.num_threads <= 1;
+         session.config.index == IndexScheme::kL2;
 }
 
 void JoinService::NoteActivity(Session* session) const {

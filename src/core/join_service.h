@@ -4,8 +4,9 @@
 // tenant (a user's feed, a topic, a shard of the corpus) gets a named
 // *session* — its own engine with its own EngineConfig, sink chain,
 // stats, id space, and memory accounting — while the service owns the
-// shared machinery: one ThreadPool for every session's parallel hot
-// paths (instead of one pool per engine) and the aggregate capacity view.
+// shared machinery: one ThreadPool for every MiniBatch session's
+// window-close fan-out (instead of one pool per engine) and the aggregate
+// capacity view.
 //
 //   sssj::JoinService service({/*num_threads=*/8});
 //   sssj::CollectorSink news_sink;
@@ -52,9 +53,10 @@ namespace sssj {
 // Service-wide knobs (namespace-scope so it can default-construct in the
 // JoinService constructor's default argument).
 struct JoinServiceOptions {
-  // Worker threads shared by every session's parallel hot paths (sharded
-  // STR-L2, MB window close). 1 disables the shared pool: sessions with
-  // num_threads > 1 then get private pools, as standalone engines do.
+  // Worker threads shared by every MiniBatch session's window-close query
+  // fan-out. 1 disables the shared pool: MB sessions with num_threads > 1
+  // then get private pools, as standalone engines do. STR sessions run
+  // sequentially and never use it.
   size_t num_threads = 1;
   // Service-wide cap on the sum of every live session's MemoryBytes().
   // 0 (default) = unlimited. When a Push/PushBatch would run while the
@@ -63,9 +65,10 @@ struct JoinServiceOptions {
   // an evicted session reloads transparently on its next push. If no
   // evictable session remains and the total is still over budget, the
   // push is refused with kResourceExhausted — deterministic backpressure
-  // instead of an OOM kill. Only inline (non-async) single-threaded
-  // STR-L2 sessions are evictable (the checkpointable configuration);
-  // other sessions count toward the total but are never evicted.
+  // instead of an OOM kill. Only inline (non-async) STR-L2 and
+  // migration-enabled sessions are evictable (the checkpointable
+  // configurations); other sessions count toward the total but are never
+  // evicted.
   size_t memory_budget_bytes = 0;
   // Directory for eviction checkpoints. Empty (default) disables
   // eviction: budget enforcement then has only the kResourceExhausted
@@ -283,7 +286,7 @@ class JoinService {
   static Status UnknownSession();
 
   // True for the checkpointable configurations eviction supports: inline
-  // (non-async) sessions that are either single-threaded STR-L2 (native
+  // (non-async) sessions that are either STR-L2 (native
   // checkpoint) or migration-enabled (portable checkpoint — any
   // framework×scheme, any thread count).
   static bool Evictable(const Session& session);

@@ -56,6 +56,78 @@ void SetError(std::string* error, const std::string& msg) {
 
 }  // namespace
 
+// Scans x's dimensions in reverse coordinate order. Lists are time-sorted,
+// so the expired run at the front of each list is located by one binary
+// search on the `ts` column and truncated; the live remainder is then
+// walked newest → oldest over raw per-column pointers, accumulating
+// dot-product contributions into cands_. Each posting costs one
+// accumulator probe: a final (pruned) slot is skipped before any other
+// work, and the candidate's decay is evaluated once, on first touch, and
+// cached in its slot (every posting of a candidate carries the
+// candidate's own ts, so the cached value is the one a per-posting
+// evaluation would produce, bit for bit). The `id` column is read
+// densely; `ts`, `value` and `prefix_norm` are only touched for unpruned
+// candidates.
+void StreamL2Index::GenerateCandidates(const StreamItem& x, Timestamp cutoff,
+                                       L2PhaseStats* stats) {
+  const SparseVector& v = x.vec;
+  const size_t n = v.nnz();
+  const bool kernel_exp = kernel_.use_simd;
+  double rst = v.norm() * v.norm();
+  cands_.Reset();
+  for (size_t i = n; i-- > 0;) {  // reverse coordinate order
+    const Coord& c = v.coord(i);
+    const double rs2 = std::sqrt(std::max(rst, 0.0));
+    rst -= c.value * c.value;
+    auto it = lists_.find(c.dim);
+    if (it == lists_.end()) continue;
+    PostingList& list = it->second;
+    list.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
+    if (list.empty()) continue;
+    const size_t expired = list.LowerBoundTs(cutoff);
+    if (expired > 0) NotePruned(list.TruncateFront(expired));
+    // The block-cursor walk hands out the hot tail's raw segments first,
+    // then decompresses cold frozen blocks one at a time into the kernel
+    // scratch — the entry visit order (and so per-candidate FP
+    // accumulation) is identical to the untiered two-segment scan.
+    list.ForSpansNewestFirst(
+        0, list.size(), &kernel_.posting, [&](const PostingSpan& sp) {
+      for (size_t k = sp.len; k-- > 0;) {  // newest entry first
+        ++stats->entries_traversed;
+        CandidateMap::Slot* slot = cands_.FindOrCreate(sp.id[k]);
+        if (slot->score < 0.0) continue;  // pruned: final
+        if (slot->score == 0.0) {         // first touch
+          // SIMD path: DecayOne, bit-identical to a DecayColumn value.
+          // Scalar path: libm std::exp, the bit-exact reference.
+          slot->decay =
+              kernel_exp ? kernels::DecayOne(sp.ts[k], x.ts, params_.lambda)
+                         : std::exp(-params_.lambda * (x.ts - sp.ts[k]));
+          // remscore = rs2 · e^{−λΔt} (line 7, AP part disabled). rs2
+          // never grows along the reverse-coordinate scan and the decay
+          // is fixed per candidate, so a rejection is final.
+          if (options_.use_remscore_bound &&
+              !BoundAtLeast(rs2 * slot->decay, params_.theta)) {
+            slot->score = CandidateMap::kPruned;
+            continue;
+          }
+          slot->ts = sp.ts[k];
+          cands_.NoteAdmitted();
+          ++stats->candidates_generated;
+        }
+        slot->score += c.value * sp.value[k];
+        if (options_.use_l2bound) {
+          const double l2bound =
+              slot->score + prefix_norms_[i] * sp.prefix_norm[k] * slot->decay;
+          if (!BoundAtLeast(l2bound, params_.theta)) {
+            slot->score = CandidateMap::kPruned;
+            ++stats->l2_prunes;
+          }
+        }
+      }
+    });
+  }
+}
+
 void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   const SparseVector& v = x.vec;
   const Timestamp cutoff = x.ts - params_.tau;
@@ -67,20 +139,7 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   L2PhaseStats phase_stats;
 
   // ---- Candidate generation (Algorithm 7, green lines) ----
-  cands_.Reset();
-  L2GenerateCandidates(
-      x, params_, options_, prefix_norms_, cutoff,
-      [this](DimId dim) -> PostingList* {
-        auto it = lists_.find(dim);
-        if (it == lists_.end()) return nullptr;
-        it->second.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
-        return &it->second;
-      },
-      [](VectorId) { return true; },
-      [this](PostingList& list, size_t n) {
-        NotePruned(list.TruncateFront(n));
-      },
-      &kernel_, &cands_, &phase_stats);
+  GenerateCandidates(x, cutoff, &phase_stats);
 
   // ---- Candidate verification (Algorithm 8, green lines) ----
   L2VerifyCandidates(x, params_, options_, cands_, residuals_, &kernel_,

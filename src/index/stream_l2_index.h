@@ -23,10 +23,9 @@
 
 namespace sssj {
 
-// The per-arrival processing is decomposed into generation / verification /
-// construction phase templates shared with the parallel ShardedStreamIndex
-// — see index/l2_phases.h (which also defines the L2IndexOptions ablation
-// switches).
+// Verification and index construction use the helpers in
+// index/l2_phases.h (which also defines the L2IndexOptions ablation
+// switches); candidate generation is the private GenerateCandidates scan.
 
 class StreamL2Index : public StreamIndex {
  public:
@@ -77,6 +76,11 @@ class StreamL2Index : public StreamIndex {
   bool Deserialize(std::istream& is, std::string* error = nullptr);
 
  private:
+  // Candidate generation (Algorithm 7, green lines) into cands_;
+  // truncates the expired front of every list it scans.
+  void GenerateCandidates(const StreamItem& x, Timestamp cutoff,
+                          L2PhaseStats* stats);
+
   DecayParams params_;
   L2IndexOptions options_;
   TieredStorageOptions tiered_;

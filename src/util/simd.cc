@@ -118,8 +118,8 @@ __attribute__((target("avx2,fma"))) inline __m256d ExpAvx2(__m256d x) {
 // is at the compiler's discretion): every element's result is therefore
 // independent of where block boundaries fall. Posting-list spans batch
 // differently across otherwise-identical runs (buffer wrap points,
-// eager vs deferred expiry), so batching-invariance is what keeps the
-// SIMD path's output deterministic for any thread count.
+// frozen blocks), so batching-invariance is what keeps the SIMD path's
+// output deterministic however the posting lists are stored.
 
 __attribute__((target("avx2,fma"))) void ExpBlockAvx2(const double* x,
                                                       size_t n, double* out) {
@@ -294,10 +294,10 @@ void DecayBlockNeon(const double* ts, size_t n, double now, double lambda,
 #endif  // SSSJ_SIMD_X86 / SSSJ_SIMD_NEON
 
 // Active dispatch level. A function-local static gives thread-safe
-// first-use initialization: with kernel=simd and num_threads > 1 the
-// first callers can be concurrent shard workers, and they must all
-// observe the same level (mixed levels would break the bit-identical
-// determinism contract on the very first arrival).
+// first-use initialization: with kernel=simd the first callers can be
+// concurrent MB window-close workers or sessions on different threads,
+// and they must all observe the same level (mixed levels would break the
+// bit-identical determinism contract on the very first arrival).
 SimdLevel& ActiveLevelRef() {
   static SimdLevel level = DetectSimdLevel();
   return level;

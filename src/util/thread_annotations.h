@@ -21,7 +21,7 @@
 //     the AsyncPush/Drain "lock-free on the session mutex" deadlock
 //     rationale);
 //   * single-owner structures without a mutex (the MPSC ring's consumer
-//     side, the sharded index's owner-writes phase) express their
+//     side) express their
 //     ownership discipline with a zero-size Role capability: the
 //     exclusive operations carry SSSJ_REQUIRES(role) and the owning
 //     thread holds the role via a scoped RoleLock;
@@ -134,8 +134,8 @@ class SSSJ_SCOPED_CAPABILITY MutexLock {
 };
 
 // A zero-size capability for single-owner disciplines that have no mutex:
-// "only the pump thread pops this ring", "only shard w writes shard w's
-// lists". Operations reserved to the owner carry SSSJ_REQUIRES(role); the
+// "only the pump thread pops this ring". Operations reserved to the owner
+// carry SSSJ_REQUIRES(role); the
 // owning thread wraps its exclusive region in a RoleLock. Outside clang
 // (and at runtime everywhere) this compiles to nothing — the annotations
 // prove call-graph discipline, not runtime exclusion.

@@ -287,8 +287,17 @@ TEST(AutoTuneTest, ConfigurationNotesSurfaceIgnoredKnobs) {
     EXPECT_TRUE((*engine)->configuration_notes().empty());
   }
   {
-    // STR-L2 with threads uses them → no num_threads note.
+    // STR-L2 runs sequentially too → num_threads note.
     EngineConfig cfg;
+    cfg.num_threads = 2;
+    auto engine = SssjEngine::Make(cfg);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE(has_note((*engine)->configuration_notes(), "num_threads"));
+  }
+  {
+    // MB fans window closes out over the threads → no num_threads note.
+    EngineConfig cfg;
+    cfg.framework = Framework::kMiniBatch;
     cfg.num_threads = 2;
     auto engine = SssjEngine::Make(cfg);
     ASSERT_TRUE(engine.ok());

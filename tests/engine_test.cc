@@ -11,6 +11,7 @@ namespace sssj {
 namespace {
 
 using ::sssj::testing::ExpectMatchesOracle;
+using ::sssj::testing::ExpectSamePairSequence;
 using ::sssj::testing::Item;
 using ::sssj::testing::RandomStream;
 using ::sssj::testing::RandomStreamSpec;
@@ -192,6 +193,72 @@ TEST(EngineTest, PushBatchAllAcceptedHasNoRejects) {
   const BatchPushResult result = engine->PushBatch(batch);
   EXPECT_EQ(result.accepted, 2u);
   EXPECT_TRUE(result.all_accepted());
+}
+
+// Few dims and short gaps: long posting lists and many candidates.
+Stream DenseishStream(uint64_t seed) {
+  RandomStreamSpec spec;
+  spec.n = 500;
+  spec.dims = 30;
+  spec.min_nnz = 2;
+  spec.max_nnz = 6;
+  spec.max_gap = 0.5;
+  spec.seed = seed;
+  return RandomStream(spec);
+}
+
+TEST(EngineTest, PushBatchMatchesPerItemPush) {
+  const Stream stream = DenseishStream(19);
+  EngineConfig cfg;
+  cfg.framework = Framework::kStreaming;
+  cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.6;
+  cfg.lambda = 0.05;
+  cfg.num_threads = 1;
+
+  CollectorSink batch_sink, item_sink;
+  auto batch_engine = *SssjEngine::Make(cfg, &batch_sink);
+  auto item_engine = *SssjEngine::Make(cfg, &item_sink);
+  ASSERT_NE(batch_engine, nullptr);
+  ASSERT_NE(item_engine, nullptr);
+  EXPECT_EQ(batch_engine->PushBatch(stream).accepted, stream.size());
+  for (const StreamItem& item : stream) {
+    EXPECT_TRUE(item_engine->Push(item.ts, item.vec).ok());
+  }
+  EXPECT_FALSE(item_sink.pairs().empty()) << "vacuous test stream";
+  ExpectSamePairSequence(batch_sink.pairs(), item_sink.pairs());
+  EXPECT_EQ(batch_engine->next_id(), item_engine->next_id());
+}
+
+// STR-L2 has one sequential implementation: num_threads > 1 changes
+// neither the pairs nor the work done, only adds the note saying so.
+TEST(EngineTest, StrL2IgnoresNumThreads) {
+  const Stream stream = DenseishStream(7);
+  EngineConfig cfg;
+  cfg.framework = Framework::kStreaming;
+  cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.6;
+  cfg.lambda = 0.05;
+
+  CollectorSink one_sink, four_sink;
+  auto one = *SssjEngine::Make(cfg, &one_sink);
+  cfg.num_threads = 4;
+  auto four = *SssjEngine::Make(cfg, &four_sink);
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(four, nullptr);
+  EXPECT_EQ(one->PushBatch(stream).accepted, stream.size());
+  EXPECT_EQ(four->PushBatch(stream).accepted, stream.size());
+  EXPECT_FALSE(one_sink.pairs().empty()) << "vacuous test stream";
+  ExpectSamePairSequence(four_sink.pairs(), one_sink.pairs());
+  EXPECT_EQ(four->stats().entries_traversed, one->stats().entries_traversed);
+  EXPECT_EQ(four->stats().candidates_generated,
+            one->stats().candidates_generated);
+  EXPECT_EQ(four->stats().full_dots, one->stats().full_dots);
+
+  EXPECT_TRUE(one->configuration_notes().empty());
+  ASSERT_EQ(four->configuration_notes().size(), 1u);
+  EXPECT_NE(four->configuration_notes()[0].find("num_threads"),
+            std::string::npos);
 }
 
 TEST(EngineTest, EndToEndMatchesOracleBothFrameworks) {

@@ -136,24 +136,6 @@ TEST_F(KernelEquivalenceTest, StreamingL2apSamePairSetWithinTolerance) {
   ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/false, "STR-L2AP");
 }
 
-// The SIMD kernels are element-wise, batching-invariant, with no
-// cross-lane reductions, so the sharded engine's output is the same for
-// every thread count on the simd path too (and matches the sequential
-// simd run pair for pair). Every worker, like the sequential engine,
-// evaluates each owned candidate's decay once with DecayOne, so this also
-// pins that shard-private accumulator maps reproduce the sequential bits.
-TEST_F(KernelEquivalenceTest, ShardedSimdMatchesSequentialSimd) {
-  const Stream& stream = WebSpamStream();
-  const auto seq = RunEngine(Framework::kStreaming, IndexScheme::kL2,
-                             KernelMode::kSimd, 1, stream);
-  for (int threads : {2, 4, 8}) {
-    const auto sharded = RunEngine(Framework::kStreaming, IndexScheme::kL2,
-                                   KernelMode::kSimd, threads, stream);
-    ExpectSamePairs(seq, sharded, /*expect_bit_identical=*/true,
-                    "sharded-simd");
-  }
-}
-
 // MB windows fan out across threads with bit-identical output — the simd
 // kernels must preserve that determinism bar.
 TEST_F(KernelEquivalenceTest, MiniBatchSimdThreadCountInvariant) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/join_service.h"
@@ -169,6 +170,58 @@ TEST(MemoryBudgetTest, NonEvictableSessionsCountButSurvive) {
   EXPECT_EQ(stats.num_sessions, 2u);
   EXPECT_TRUE(service.CloseSession(*mbh).ok());
   EXPECT_TRUE(service.CloseSession(*strh).ok());
+}
+
+TEST(MemoryBudgetTest, StrL2SessionWithThreadsIsEvictable) {
+  // num_threads does not change STR-L2, so such a session checkpoints,
+  // spills and reloads like any other STR-L2 session, and its output
+  // matches an unbudgeted run.
+  EngineConfig cfg = BudgetedEngineConfig();
+  cfg.num_threads = 4;
+  const Stream stream = SessionStream(2000);
+  CollectorSink ref_sink;
+  auto ref = SssjEngine::Make(cfg, &ref_sink);
+  ASSERT_TRUE(ref.ok());
+  for (const StreamItem& item : stream) {
+    ASSERT_TRUE((*ref)->Push(item.ts, item.vec).ok());
+  }
+  ASSERT_FALSE(ref_sink.pairs().empty());
+
+  // Room for about one and a half sessions: filling the second evicts
+  // the first, and finishing the first reloads it.
+  JoinServiceOptions options;
+  options.num_threads = 2;
+  options.memory_budget_bytes = (*ref)->MemoryBytes() * 3 / 2;
+  options.spill_dir = ::testing::TempDir();
+  JoinService service(options);
+  CollectorSink sinks[2];
+  JoinService::SessionHandle handles[2];
+  for (int s = 0; s < 2; ++s) {
+    auto handle = service.CreateSession(
+        {"threads-" + std::to_string(s), cfg, &sinks[s]});
+    ASSERT_TRUE(handle.ok()) << handle.status().message();
+    handles[s] = *handle;
+  }
+  const size_t half = stream.size() / 2;
+  for (const auto& [s, begin, end] :
+       {std::tuple<int, size_t, size_t>{0, 0, half},
+        std::tuple<int, size_t, size_t>{1, 0, stream.size()},
+        std::tuple<int, size_t, size_t>{0, half, stream.size()}}) {
+    for (size_t i = begin; i < end; ++i) {
+      const Status status =
+          service.Push(handles[s], stream[i].ts, stream[i].vec);
+      ASSERT_TRUE(status.ok()) << "session " << s << " item " << i << ": "
+                               << status.message();
+    }
+  }
+  const ServiceStats stats = service.Stats();
+  EXPECT_GT(stats.sessions_evicted, 0u);
+  EXPECT_GT(stats.session_reloads, 0u);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_TRUE(service.CloseSession(handles[s]).ok());
+    ::sssj::testing::ExpectSamePairSequence(sinks[s].pairs(),
+                                            ref_sink.pairs());
+  }
 }
 
 TEST(MemoryBudgetTest, SaveCheckpointOnEvictedSessionReloadsFirst) {

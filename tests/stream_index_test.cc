@@ -9,12 +9,14 @@
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
 #include "index/stream_l2ap_index.h"
+#include "stream/streaming.h"
 #include "tests/test_util.h"
 
 namespace sssj {
 namespace {
 
 using ::sssj::testing::ExpectMatchesOracle;
+using ::sssj::testing::ExpectSamePairSequence;
 using ::sssj::testing::Item;
 using ::sssj::testing::PairSet;
 using ::sssj::testing::RandomStream;
@@ -307,6 +309,41 @@ TEST(StreamIndexTest, ClearResetsState) {
     index->ProcessArrival(Item(1, 0.1, v), &sink2);
     EXPECT_TRUE(sink2.pairs().empty()) << index->name();
   }
+}
+
+// The framework-layer batch API (pre-validated items with ids already
+// assigned) must emit exactly what per-item pushes emit, and skip an
+// out-of-order item inside a batch instead of failing the batch.
+TEST(StreamingJoinTest, PushBatchMatchesPerItemPush) {
+  RandomStreamSpec spec;
+  spec.n = 500;
+  spec.dims = 30;  // few dims → long posting lists → many candidates
+  spec.min_nnz = 2;
+  spec.max_nnz = 6;
+  spec.max_gap = 0.5;
+  spec.seed = 23;
+  const Stream stream = RandomStream(spec);
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
+
+  StreamingJoin batched(params, std::make_unique<StreamL2Index>(params));
+  CollectorSink batch_sink;
+  EXPECT_EQ(batched.PushBatch(stream, &batch_sink), stream.size());
+
+  StreamingJoin itemized(params, std::make_unique<StreamL2Index>(params));
+  CollectorSink item_sink;
+  for (const StreamItem& item : stream) {
+    EXPECT_TRUE(itemized.Push(item, &item_sink));
+  }
+  EXPECT_FALSE(item_sink.pairs().empty()) << "vacuous test stream";
+  ExpectSamePairSequence(batch_sink.pairs(), item_sink.pairs());
+
+  Stream bad;
+  bad.push_back(Item(stream.back().id + 1, stream.back().ts - 1.0,
+                     UnitVec({{1, 1.0}})));
+  bad.push_back(Item(stream.back().id + 2, stream.back().ts + 1.0,
+                     UnitVec({{1, 1.0}})));
+  EXPECT_EQ(batched.PushBatch(bad, &batch_sink), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <utility>
 #include <vector>
@@ -38,6 +39,25 @@ inline std::set<std::pair<VectorId, VectorId>> PairSet(
   std::set<std::pair<VectorId, VectorId>> out;
   for (const ResultPair& p : pairs) out.emplace(p.a, p.b);
   return out;
+}
+
+// Same pairs in the same emission order, bit for bit: ids, timestamps,
+// and both similarity doubles.
+inline void ExpectSamePairSequence(const std::vector<ResultPair>& got,
+                                   const std::vector<ResultPair>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << "pair " << i;
+    EXPECT_EQ(got[i].b, want[i].b) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&got[i].ta, &want[i].ta, sizeof(double)), 0)
+        << "pair " << i;
+    EXPECT_EQ(std::memcmp(&got[i].tb, &want[i].tb, sizeof(double)), 0)
+        << "pair " << i;
+    EXPECT_EQ(std::memcmp(&got[i].dot, &want[i].dot, sizeof(double)), 0)
+        << "pair " << i;
+    EXPECT_EQ(std::memcmp(&got[i].sim, &want[i].sim, sizeof(double)), 0)
+        << "pair " << i;
+  }
 }
 
 // Random unit-vector stream for randomized / property tests.

@@ -269,9 +269,7 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, TieredEquivalenceTest,
     ::testing::Values(SchemeThreads{IndexScheme::kInv, 1},
                       SchemeThreads{IndexScheme::kL2ap, 1},
-                      SchemeThreads{IndexScheme::kL2, 1},
-                      SchemeThreads{IndexScheme::kL2, 2},
-                      SchemeThreads{IndexScheme::kL2, 4}));
+                      SchemeThreads{IndexScheme::kL2, 1}));
 
 TEST(TieredEquivalenceTest, SimdKernelsAlsoUnaffectedByTiering) {
   RandomStreamSpec spec;
