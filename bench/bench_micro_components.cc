@@ -15,7 +15,9 @@
 
 #include "bench_common/bench_json.h"
 
+#include "core/engine.h"
 #include "data/generator.h"
+#include "data/profiles.h"
 #include "index/candidate_map.h"
 #include "index/kernels.h"
 #include "index/max_vector.h"
@@ -364,6 +366,37 @@ void BM_StreamArrival(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_StreamArrival, StreamInvIndex);
 BENCHMARK_TEMPLATE(BM_StreamArrival, StreamL2Index);
 BENCHMARK_TEMPLATE(BM_StreamArrival, StreamL2apIndex);
+
+// One MemoryBytes() read on a warm engine — what JoinService pays after
+// every push to keep the memory budget current. The running totals make
+// it a few field loads however large the state; `state_bytes` records the
+// figure read. STR-L2 on an RCV1-like stream and MB-L2 on a Tweets-like
+// one, both at θ=0.5, λ=1e-3 (the perfbench workloads' settings).
+void BM_EngineMemoryBytes(benchmark::State& state, Framework framework,
+                          DatasetProfile profile) {
+  EngineConfig cfg;
+  cfg.framework = framework;
+  cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.5;
+  cfg.lambda = 1e-3;
+  auto engine = SssjEngine::Make(cfg);
+  if (!engine.ok()) {
+    state.SkipWithError(engine.status().message().c_str());
+    return;
+  }
+  CorpusSpec spec = MakeProfileSpec(profile, 1.0, /*seed=*/1);
+  spec.num_vectors = 3000;
+  for (const StreamItem& item : CorpusGenerator(spec).Generate()) {
+    (*engine)->Push(item.ts, item.vec);  // unusable vectors are skipped
+  }
+  for (auto _ : state) benchmark::DoNotOptimize((*engine)->MemoryBytes());
+  state.counters["state_bytes"] =
+      static_cast<double>((*engine)->MemoryBytes());
+}
+BENCHMARK_CAPTURE(BM_EngineMemoryBytes, str_l2, Framework::kStreaming,
+                  DatasetProfile::kRcv1);
+BENCHMARK_CAPTURE(BM_EngineMemoryBytes, mb_l2, Framework::kMiniBatch,
+                  DatasetProfile::kTweets);
 
 // Console output plus a JsonValue row per completed run — name, timing,
 // and every user counter (items_per_second, bytes/entry, ...), so the

@@ -33,6 +33,16 @@
 namespace sssj {
 namespace {
 
+// The compiler that built this binary, recorded with the cluster baseline.
+constexpr const char* kCompiler =
+#if defined(__clang__)
+    "clang " __clang_version__;
+#elif defined(__GNUC__)
+    "gcc " __VERSION__;
+#else
+    "unknown";
+#endif
+
 // One thread-count sweep table for MB-L2 over `stream`: runs the whole
 // stream per thread count and reports throughput and speedup. The
 // speedup column is always relative to a measured num_threads=1 run, even
@@ -229,68 +239,83 @@ int Run(int argc, char** argv) {
       return timer.ElapsedSeconds();
     };
 
-    TablePrinter table({"mode", "workers", "time(s)", "kvec/s", "pairs",
-                        "overhead"},
+    // Every mode runs kClusterReps times, interleaved (in-process, 1
+    // worker, 2, ... then again), so host drift hits all modes alike; the
+    // rows report the median with min and max. Mode 0 is in-process.
+    constexpr int kClusterReps = 3;
+    std::vector<int> modes = {0};
+    for (double workers_d : worker_list) {
+      modes.push_back(workers_d < 1 ? 1 : static_cast<int>(workers_d));
+    }
+    std::vector<std::vector<double>> seconds(modes.size());
+    uint64_t baseline_pairs = 0;
+    for (int rep = 0; rep < kClusterReps; ++rep) {
+      for (size_t m = 0; m < modes.size(); ++m) {
+        uint64_t pairs = 0;
+        if (modes[m] == 0) {
+          cluster::ClusterClient local{JoinServiceOptions{}};
+          seconds[m].push_back(drive(&local, &pairs));
+          baseline_pairs = pairs;
+          continue;
+        }
+        cluster::SupervisorOptions options;
+        options.num_workers = modes[m];
+        cluster::Supervisor supervisor(options);
+        const Status started = supervisor.Start();
+        if (!started.ok()) {
+          std::cerr << "warning: cluster sweep skipped: "
+                    << started.ToString() << "\n";
+          modes.resize(m);
+          break;
+        }
+        cluster::ClusterClient remote(&supervisor);
+        seconds[m].push_back(drive(&remote, &pairs));
+        supervisor.Shutdown();
+        if (pairs != baseline_pairs) {
+          std::cerr << "ERROR: cluster pairs " << pairs
+                    << " != in-process pairs " << baseline_pairs << "\n";
+          return 1;
+        }
+      }
+    }
+
+    TablePrinter table({"mode", "workers", "time(s)", "min", "max",
+                        "kvec/s", "pairs", "overhead"},
                        args.tsv);
     JsonValue cluster_rows = JsonValue::Array();
     const double pushes = static_cast<double>(cluster_sessions) *
                           static_cast<double>(stream.size());
-    uint64_t baseline_pairs = 0;
-    double baseline_seconds = 0.0;
-    {
-      cluster::ClusterClient local{JoinServiceOptions{}};
-      baseline_seconds = drive(&local, &baseline_pairs);
-      table.AddRow({"in-process", "0", FormatDouble(baseline_seconds, 3),
-                    FormatDouble(pushes / baseline_seconds / 1000.0, 1),
-                    std::to_string(baseline_pairs), "1.00x"});
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double baseline_seconds = median(seconds[0]);
+    for (size_t m = 0; m < modes.size(); ++m) {
+      const double med = median(seconds[m]);
+      const auto [lo, hi] =
+          std::minmax_element(seconds[m].begin(), seconds[m].end());
+      const std::string mode = modes[m] == 0 ? "in-process" : "cluster";
+      table.AddRow({mode, std::to_string(modes[m]), FormatDouble(med, 3),
+                    FormatDouble(*lo, 3), FormatDouble(*hi, 3),
+                    FormatDouble(pushes / med / 1000.0, 1),
+                    std::to_string(baseline_pairs),
+                    FormatDouble(med / baseline_seconds, 2) + "x"});
       cluster_rows.Push(JsonValue::Object()
-                            .Set("mode", "in-process")
-                            .Set("workers", static_cast<uint64_t>(0))
-                            .Set("seconds", baseline_seconds)
-                            .Set("kvec_per_s",
-                                 pushes / baseline_seconds / 1000.0)
+                            .Set("mode", mode)
+                            .Set("workers", static_cast<uint64_t>(modes[m]))
+                            .Set("seconds", med)
+                            .Set("seconds_min", *lo)
+                            .Set("seconds_max", *hi)
+                            .Set("kvec_per_s", pushes / med / 1000.0)
                             .Set("pairs", baseline_pairs)
-                            .Set("overhead_vs_inproc", 1.0));
-    }
-    for (double workers_d : worker_list) {
-      const int workers = workers_d < 1 ? 1 : static_cast<int>(workers_d);
-      cluster::SupervisorOptions options;
-      options.num_workers = workers;
-      cluster::Supervisor supervisor(options);
-      const Status started = supervisor.Start();
-      if (!started.ok()) {
-        std::cerr << "warning: cluster sweep skipped: "
-                  << started.ToString() << "\n";
-        break;
-      }
-      cluster::ClusterClient remote(&supervisor);
-      uint64_t pairs = 0;
-      const double seconds = drive(&remote, &pairs);
-      supervisor.Shutdown();
-      if (pairs != baseline_pairs) {
-        std::cerr << "ERROR: cluster pairs " << pairs
-                  << " != in-process pairs " << baseline_pairs << "\n";
-        return 1;
-      }
-      table.AddRow({"cluster", std::to_string(workers),
-                    FormatDouble(seconds, 3),
-                    FormatDouble(pushes / seconds / 1000.0, 1),
-                    std::to_string(pairs),
-                    FormatDouble(seconds / baseline_seconds, 2) + "x"});
-      cluster_rows.Push(JsonValue::Object()
-                            .Set("mode", "cluster")
-                            .Set("workers", static_cast<uint64_t>(workers))
-                            .Set("seconds", seconds)
-                            .Set("kvec_per_s", pushes / seconds / 1000.0)
-                            .Set("pairs", pairs)
-                            .Set("overhead_vs_inproc",
-                                 seconds / baseline_seconds));
+                            .Set("overhead_vs_inproc", med / baseline_seconds));
     }
     std::cout << "\nCluster layer: " << cluster_sessions
               << " STR-L2 sessions fed round-robin (n=" << stream.size()
               << " each) through a ClusterClient; in-process vs a forked "
                  "K-worker fleet over Unix sockets (pairs must match on "
-                 "every row)\n";
+                 "every row; median, min and max of "
+              << kClusterReps << " interleaved reps)\n";
     table.Print(std::cout);
     if (!cluster_json_out.empty()) {
       JsonValue cluster_doc = JsonValue::Object();
@@ -300,6 +325,10 @@ int Run(int argc, char** argv) {
           .Set("seed", args.seed)
           .Set("n", static_cast<uint64_t>(stream.size()))
           .Set("sessions", static_cast<uint64_t>(cluster_sessions))
+          .Set("hardware_threads",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()))
+          .Set("compiler", kCompiler)
+          .Set("reps", static_cast<uint64_t>(kClusterReps))
           .Set("cluster", std::move(cluster_rows));
       const Status status = WriteJsonFile(cluster_doc, cluster_json_out);
       if (!status.ok()) {

@@ -76,15 +76,6 @@ void CheckOneConfig(const Columns& cols, size_t split, ValueTier tier,
                        n * sizeof(double)) == 0);
   }
 
-  // Thaw again skipping the value column — id/ts must be unaffected.
-  FrozenColumns skipped;
-  block.Thaw(&skipped, /*fill_elided_prefix_norm=*/false,
-             /*skip_value=*/true);
-  assert(std::memcmp(skipped.id.data(), cols.id.data(),
-                     n * sizeof(VectorId)) == 0);
-  assert(std::memcmp(skipped.ts.data(), cols.ts.data(),
-                     n * sizeof(Timestamp)) == 0);
-
   bool any_nan = false;
   for (const Timestamp t : cols.ts) any_nan |= std::isnan(t);
   if (!any_nan && n != 0) {

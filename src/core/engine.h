@@ -257,6 +257,8 @@ class SssjEngine {
   // migration, and from config().index always under kAuto.
   Framework active_framework() const { return active_framework_; }
   IndexScheme active_scheme() const { return active_scheme_; }
+  // The active core, read-only (introspection and tests).
+  const JoinCore& core() const { return *core_; }
 
   // Completed scheme migrations (manual + auto-tuned).
   uint64_t scheme_switches() const { return scheme_switches_; }
@@ -310,11 +312,12 @@ class SssjEngine {
   Status SaveCheckpoint(std::ostream& os) const;
   Status LoadCheckpoint(std::istream& is);
 
-  // Approximate resident bytes of the live state. STR: the online index
-  // (posting-list columns + residual store). MB: the buffered windows plus
-  // the peak per-window index footprint seen this run (the window index
-  // only lives inside a close, so its high-water mark is the capacity
-  // signal).
+  // Resident bytes of the live state, exact and O(1) (running totals kept
+  // at every mutation; JoinService reads it after each push). STR: the
+  // online index (posting lists + residual store) plus retained live
+  // items. MB: the buffered windows plus the peak per-window index
+  // footprint seen this run (the window index only lives inside a close,
+  // so its high-water mark is the capacity signal).
   size_t MemoryBytes() const;
 
   const RunStats& stats() const;

@@ -271,9 +271,9 @@ class JoinService {
     uint64_t id = 0;  // registry id; immutable once inserted
     EngineConfig config;             // resolved config, for engine rebuild
     ResultSink* bound_sink = nullptr;  // sink the engine was built with
-    // Cached accounting, atomic so EnforceBudget can total the service
-    // without taking every session's lock: refreshed after each locked
-    // operation from engine->MemoryBytes().
+    // The engine's exact MemoryBytes() (an O(1) read), refreshed after
+    // each locked operation; atomic so EnforceBudget can total the
+    // service without taking every session's lock.
     std::atomic<size_t> mem_bytes{0};
     std::atomic<uint64_t> last_active{0};  // service activity clock tick
     bool evicted SSSJ_GUARDED_BY(mu) = false;

@@ -19,6 +19,12 @@ struct StreamItem {
 // tests, generators, and the mini-batch window buffers.
 using Stream = std::vector<StreamItem>;
 
+// Resident bytes of a buffered item (the struct plus its coordinates):
+// what the frameworks' MemoryBytes() charge per windowed or retained item.
+inline size_t ItemBytes(const StreamItem& item) {
+  return sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
+}
+
 // True iff timestamps are non-decreasing and ids strictly increasing.
 inline bool IsTimeOrdered(const Stream& s) {
   for (size_t i = 1; i < s.size(); ++i) {

@@ -17,7 +17,6 @@
 #ifndef SSSJ_INDEX_DECAYED_STREAM_INDEX_H_
 #define SSSJ_INDEX_DECAYED_STREAM_INDEX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/decay.h"
@@ -40,23 +39,22 @@ class GeneralDecayInvIndex : public StreamIndex {
       : theta_(theta),
         decay_(decay),
         tau_(decay.Horizon(theta)),
-        tiered_(tiered) {}
+        lists_(tiered) {}
 
   void ProcessArrival(const StreamItem& x, ResultSink* sink) override;
   void Clear() override;
   const char* name() const override { return "INV(gen)"; }
   size_t live_posting_entries() const override { return live_entries_; }
-  size_t MemoryBytes() const override {
-    return PostingMapMemoryBytes(lists_);
-  }
+  size_t MemoryBytes() const override { return lists_.MemoryBytes(); }
   double horizon() const { return tau_; }
+  // Read-only view of the index state (introspection and tests).
+  const PostingMap& lists() const { return lists_; }
 
  private:
   double theta_;
   DecayFunction decay_;
   double tau_;
-  TieredStorageOptions tiered_;
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   CandidateMap cands_;
   FrozenColumns posting_;  // frozen-block decode scratch
 };
@@ -68,23 +66,25 @@ class GeneralDecayL2Index : public StreamIndex {
       : theta_(theta),
         decay_(decay),
         tau_(decay.Horizon(theta)),
-        tiered_(tiered) {}
+        lists_(tiered) {}
 
   void ProcessArrival(const StreamItem& x, ResultSink* sink) override;
   void Clear() override;
   const char* name() const override { return "L2(gen)"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override {
-    return residuals_.ApproxBytes() + PostingMapMemoryBytes(lists_);
+    return residuals_.MemoryBytes() + lists_.MemoryBytes();
   }
   double horizon() const { return tau_; }
+  // Read-only views of the index state (introspection and tests).
+  const PostingMap& lists() const { return lists_; }
+  const ResidualStore& residuals() const { return residuals_; }
 
  private:
   double theta_;
   DecayFunction decay_;
   double tau_;
-  TieredStorageOptions tiered_;
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   ResidualStore residuals_;
   CandidateMap cands_;
   std::vector<double> prefix_norms_;

@@ -55,6 +55,7 @@ size_t PostingList::TruncateFront(size_t n) {
     }
   }
   if (drop > 0) {
+    for (size_t b = 0; b < drop; ++b) frozen_bytes_ -= PayloadBytes(frozen_[b]);
     frozen_.erase(frozen_.begin(),
                   frozen_.begin() + static_cast<ptrdiff_t>(drop));
   }
@@ -81,7 +82,9 @@ void PostingList::CompactFrontBlock() {
   run.prefix_norm = cols.prefix_norm.data() + first_skip_;
   run.ts = cols.ts.data() + first_skip_;
   run.len = blk.count() - first_skip_;
+  frozen_bytes_ -= PayloadBytes(blk);
   blk = FrozenBlock::Freeze(&run, 1, blk.tier(), blk.compressed());
+  frozen_bytes_ += PayloadBytes(blk);
   first_skip_ = 0;
 }
 
@@ -113,6 +116,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
         kept.push_back(std::move(blk));  // fully live
       } else if (blk.max_ts() < cutoff) {
         removed += live;  // fully expired: drop without touching bytes
+        frozen_bytes_ -= PayloadBytes(blk);
       } else {
         // Straddling block (or a fully-live one carrying a skip): thaw,
         // filter survivors in order, re-freeze at the block's own tier
@@ -130,6 +134,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
         }
         const size_t survivors = w - skip;
         removed += live - survivors;
+        frozen_bytes_ -= PayloadBytes(blk);
         if (survivors > 0) {
           FrozenSourceRun run;
           run.id = cols->id.data() + skip;
@@ -139,6 +144,7 @@ size_t PostingList::CompactExpired(Timestamp cutoff, FrozenColumns* scratch) {
           run.len = survivors;
           kept.push_back(
               FrozenBlock::Freeze(&run, 1, blk.tier(), blk.compressed()));
+          frozen_bytes_ += PayloadBytes(kept.back());
         }
       }
       skip = 0;
@@ -213,7 +219,9 @@ void PostingList::FreezeQuantum(size_t n, size_t block_entries,
     run.prefix_norm = cols.prefix_norm.data() + drop;
     run.ts = cols.ts.data() + drop;
     run.len = old + take;
+    frozen_bytes_ -= PayloadBytes(*last);
     *last = FrozenBlock::Freeze(&run, 1, tier, compress);
+    frozen_bytes_ += PayloadBytes(*last);
     if (drop > 0) first_skip_ = 0;
     frozen_live_ += take;
     store_.TruncateFront(take);
@@ -233,6 +241,7 @@ void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress) {
     runs[s].len = segs[s].len;
   }
   frozen_.push_back(FrozenBlock::Freeze(runs, nsegs, tier, compress));
+  frozen_bytes_ += PayloadBytes(frozen_.back());
   frozen_live_ += n;
   store_.TruncateFront(n);
 }

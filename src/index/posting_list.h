@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -339,6 +340,7 @@ class PostingList {
   void Clear() {
     store_.Clear();
     frozen_.clear();
+    frozen_bytes_ = 0;
     first_skip_ = 0;
     frozen_live_ = 0;
     appends_since_scan_ = 0;
@@ -351,17 +353,19 @@ class PostingList {
   size_t capacity_bytes() const { return store_.capacity_bytes(); }
 
   // Full allocated footprint: the list object itself (classifier state,
-  // buffer headers), mutable-tail capacity, compressed frozen blocks, and
-  // per-block bookkeeping. What the index-level MemoryBytes() accounting
-  // sums — strictly larger than capacity_bytes(), never payload-only.
+  // buffer headers), mutable-tail capacity, frozen block headers (by the
+  // vector's capacity) and block payloads. What the index-level
+  // MemoryBytes() accounting sums — strictly larger than
+  // capacity_bytes(), never payload-only. O(1): the payload total is
+  // kept current wherever a block is created, rewritten or dropped.
   size_t memory_bytes() const {
-    size_t bytes = sizeof(PostingList) + store_.capacity_bytes() +
-                   frozen_.capacity() * sizeof(FrozenBlock);
-    for (const FrozenBlock& blk : frozen_) {
-      bytes += blk.memory_bytes() - sizeof(FrozenBlock);  // payload only
-    }
-    return bytes;
+    return sizeof(PostingList) + store_.capacity_bytes() +
+           frozen_.capacity() * sizeof(FrozenBlock) + frozen_bytes_;
   }
+
+  // The cold tier, oldest block first (read-only; for introspection and
+  // the accounting tests).
+  const std::vector<FrozenBlock>& frozen() const { return frozen_; }
 
  private:
   using ColumnStore = ColumnarBuffer<VectorId, double, double, Timestamp>;
@@ -377,6 +381,11 @@ class PostingList {
   void FreezeQuantum(size_t n, size_t block_entries, ValueTier tier,
                      bool compress);
   size_t CompactExpiredTail(Timestamp cutoff);
+  // A block's allocation beyond its header (the header is counted by
+  // frozen_'s capacity).
+  static size_t PayloadBytes(const FrozenBlock& blk) {
+    return blk.memory_bytes() - sizeof(FrozenBlock);
+  }
 
   // Tail-relative span mapping; out[s].begin is reported in full logical
   // coordinates (offset by the frozen live count).
@@ -421,15 +430,9 @@ class PostingList {
         sp.prefix_norm = pn + skip + lo;
       }
     } else {
-      // Exact-tier blocks whose value column fell back to raw fp64 serve
-      // it straight from the compressed buffer; only id/ts need decode.
-      const double* inline_vals = blk.inline_exact_values();
-      blk.Thaw(scratch, /*fill_elided_prefix_norm=*/false,
-               /*skip_value=*/inline_vals != nullptr);
+      blk.Thaw(scratch, /*fill_elided_prefix_norm=*/false);
       sp.id = scratch->id.data() + skip + lo;
-      sp.value = (inline_vals != nullptr ? inline_vals
-                                         : scratch->value.data()) +
-                 skip + lo;
+      sp.value = scratch->value.data() + skip + lo;
       sp.ts = scratch->ts.data() + skip + lo;
       if (blk.has_prefix_norm()) {
         sp.prefix_norm = scratch->prefix_norm.data() + skip + lo;
@@ -447,6 +450,7 @@ class PostingList {
 
   ColumnStore store_;               // hot mutable tail
   std::vector<FrozenBlock> frozen_; // cold tier, oldest block first
+  size_t frozen_bytes_ = 0;         // Σ PayloadBytes over frozen_
   size_t first_skip_ = 0;           // expired entries at frozen_[0]'s front
   size_t frozen_live_ = 0;          // live entries across all frozen blocks
   uint32_t appends_since_scan_ = 0; // dormancy classifier state
@@ -499,26 +503,90 @@ class BatchPostingList {
   std::vector<Timestamp> ts_;
 };
 
-// Allocated footprint of an unordered_map<DimId, PostingList> posting
-// container, including what the per-payload `capacity_bytes` view used
-// to miss: the PostingList object headers inside the map nodes, the
-// node-overhead of the chaining hash map (hash link + bucket chain
-// pointer per node, approximated at two pointers), and the bucket
-// array. Shared by every stream index's MemoryBytes() so the mem(MB)
-// bench column — the signal the tiering budget acts on — reports
-// capacity, not payload.
-template <typename Map>
-size_t PostingMapMemoryBytes(const Map& lists) {
-  size_t bytes = lists.bucket_count() * sizeof(void*);
-  for (const auto& [dim, list] : lists) {
-    // memory_bytes() already covers the PostingList object itself; add
-    // only the key (with pair padding) and the node-link overhead here.
-    bytes += sizeof(typename Map::value_type) - sizeof(PostingList) +
-             2 * sizeof(void*);
-    bytes += list.memory_bytes();
+// The posting lists of one stream index, keyed by dimension, with their
+// summed footprint kept current: MemoryBytes() is O(1), so the per-push
+// reads by JoinService and the budget cost nothing. Postings enter and
+// leave only through the methods below, each of which folds the touched
+// list's change in memory_bytes() into the total; Find hands out a list
+// for NoteScanned and the const walks, never to change its entries.
+// The tiered storage options live here too, since Append is where lists
+// freeze.
+class PostingMap {
+ public:
+  using Map = std::unordered_map<DimId, PostingList>;
+
+  explicit PostingMap(const TieredStorageOptions& tiered = {})
+      : tiered_(tiered) {}
+
+  // dim's list, or nullptr when dim was never indexed.
+  PostingList* Find(DimId dim) {
+    auto it = lists_.find(dim);
+    return it == lists_.end() ? nullptr : &it->second;
   }
-  return bytes;
-}
+
+  // dim's list, created empty on first use.
+  PostingList* FindOrCreate(DimId dim) {
+    auto [it, inserted] = lists_.try_emplace(dim);
+    if (inserted) list_bytes_ += it->second.memory_bytes();
+    return &it->second;
+  }
+
+  // Appends one posting to dim's list (created on first use), then lets
+  // the list freeze its cold tail; `tick` is the index's arrival counter
+  // for the scan-rate classifier (PostingList::MaybeFreeze).
+  void Append(DimId dim, VectorId id, double value, double prefix_norm,
+              Timestamp ts, uint64_t tick = 0) {
+    auto [it, inserted] = lists_.try_emplace(dim);
+    PostingList& list = it->second;
+    const size_t before = inserted ? 0 : list.memory_bytes();
+    list.Append(id, value, prefix_norm, ts);
+    list.MaybeFreeze(tiered_, tick);
+    list_bytes_ += list.memory_bytes() - before;
+  }
+
+  // PostingList::TruncateFront / CompactExpired on a list of this map.
+  size_t TruncateFront(PostingList* list, size_t n) {
+    const size_t before = list->memory_bytes();
+    list->TruncateFront(n);
+    list_bytes_ += list->memory_bytes() - before;
+    return n;
+  }
+  size_t CompactExpired(PostingList* list, Timestamp cutoff,
+                        FrozenColumns* scratch) {
+    const size_t before = list->memory_bytes();
+    const size_t removed = list->CompactExpired(cutoff, scratch);
+    list_bytes_ += list->memory_bytes() - before;
+    return removed;
+  }
+
+  void Clear() {
+    lists_.clear();
+    list_bytes_ = 0;
+  }
+
+  size_t size() const { return lists_.size(); }
+  size_t bucket_count() const { return lists_.bucket_count(); }
+  Map::const_iterator begin() const { return lists_.begin(); }
+  Map::const_iterator end() const { return lists_.end(); }
+
+  // Allocated footprint: the bucket array, per list its map node (key,
+  // pair padding, and the chaining links, approximated at two pointers)
+  // and the list's own memory_bytes(). Capacity, not payload — the
+  // signal the tiering budget acts on.
+  size_t MemoryBytes() const {
+    return lists_.bucket_count() * sizeof(void*) +
+           lists_.size() * kNodeOverheadBytes + list_bytes_;
+  }
+
+ private:
+  // Per-list map node bytes beyond the PostingList object itself.
+  static constexpr size_t kNodeOverheadBytes =
+      sizeof(Map::value_type) - sizeof(PostingList) + 2 * sizeof(void*);
+
+  TieredStorageOptions tiered_;
+  Map lists_;
+  size_t list_bytes_ = 0;  // Σ memory_bytes() over lists_
+};
 
 }  // namespace sssj
 

@@ -45,7 +45,7 @@ size_t PrefixIndex<Policy>::IndexedEntries() const {
 
 template <typename Policy>
 size_t PrefixIndex<Policy>::MemoryBytes() const {
-  size_t bytes = residuals_.ApproxBytes();
+  size_t bytes = residuals_.MemoryBytes();
   for (const auto& [dim, list] : lists_) {
     bytes += sizeof(DimId) + list.capacity_bytes();
   }

@@ -3,13 +3,17 @@
 namespace sssj {
 
 ResidualRecord& ResidualStore::Insert(VectorId id, ResidualRecord rec) {
-  ResidualRecord& stored = map_.insert(id, std::move(rec));
-  if (track_prefix_dims_) RegisterPrefixDims(id, stored.prefix);
-  return stored;
+  auto [stored, inserted] = map_.try_emplace(id);
+  if (!inserted) bytes_ -= RecordBytes(*stored);  // replaced in place
+  *stored = std::move(rec);
+  bytes_ += RecordBytes(*stored);
+  if (track_prefix_dims_) RegisterPrefixDims(id, stored->prefix);
+  return *stored;
 }
 
 void ResidualStore::ExpireOlderThan(Timestamp cutoff) {
   while (!map_.empty() && map_.front().second.ts < cutoff) {
+    bytes_ -= RecordBytes(map_.front().second);
     map_.pop_front();
   }
   // prefix_dims_ entries pointing at dropped ids are cleaned lazily.
@@ -18,24 +22,17 @@ void ResidualStore::ExpireOlderThan(Timestamp cutoff) {
 void ResidualStore::Clear() {
   map_.clear();
   prefix_dims_.clear();
-}
-
-size_t ResidualStore::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const auto& [id, rec] : map_) {
-    bytes += sizeof(VectorId) + sizeof(ResidualRecord) +
-             rec.prefix.nnz() * sizeof(Coord);
-  }
-  for (const auto& [dim, ids] : prefix_dims_) {
-    bytes += sizeof(DimId) + ids.capacity() * sizeof(VectorId);
-  }
-  return bytes;
+  bytes_ = 0;
 }
 
 void ResidualStore::RegisterPrefixDims(VectorId id,
                                        const SparseVector& prefix) {
   for (const Coord& c : prefix) {
-    prefix_dims_[c.dim].push_back(id);
+    auto [it, inserted] = prefix_dims_.try_emplace(c.dim);
+    std::vector<VectorId>& ids = it->second;
+    const size_t before = inserted ? 0 : PrefixDimBytes(ids);
+    ids.push_back(id);
+    bytes_ += PrefixDimBytes(ids) - before;
   }
 }
 

@@ -16,6 +16,9 @@
 // dimension j can locate exactly the residuals that may need re-indexing
 // (§5.3 "we can keep an inverted index of R to avoid scanning every
 // vector"). Entries in that inverted index are cleaned lazily.
+//
+// The store's byte footprint is kept as a running total, adjusted by
+// every mutation below, so MemoryBytes() is a field load.
 #ifndef SSSJ_INDEX_RESIDUAL_STORE_H_
 #define SSSJ_INDEX_RESIDUAL_STORE_H_
 
@@ -49,6 +52,8 @@ class ResidualStore {
   // Returns the stored record.
   ResidualRecord& Insert(VectorId id, ResidualRecord rec);
 
+  // Callers may update a found record's scalars in place; its prefix
+  // changes only through ShrinkPrefix, which keeps MemoryBytes() exact.
   ResidualRecord* Find(VectorId id) { return map_.find(id); }
   const ResidualRecord* Find(VectorId id) const { return map_.find(id); }
 
@@ -71,22 +76,28 @@ class ResidualStore {
       fn(ids[i], *rec);
     }
     ids.resize(w);
-    if (ids.empty()) prefix_dims_.erase(it);
+    if (ids.empty()) {
+      bytes_ -= PrefixDimBytes(ids);
+      prefix_dims_.erase(it);
+    }
   }
 
-  // Re-registers prefix dims after a record's prefix shrank (re-indexing).
-  // Only dims still present in the new prefix remain discoverable; stale
-  // entries are cleaned lazily by ForEachWithPrefixDim.
-  void NotePrefixShrunk(VectorId) {}  // nothing to do: cleanup is lazy
+  // Truncates a stored record's prefix to its first `nnz` coordinates
+  // (L2AP re-indexing moved the rest into the posting lists). Dims that
+  // left the prefix stay in the prefix-dim index until
+  // ForEachWithPrefixDim cleans them lazily.
+  void ShrinkPrefix(ResidualRecord* rec, size_t nnz) {
+    bytes_ -= (rec->prefix.nnz() - nnz) * sizeof(Coord);
+    rec->prefix = rec->prefix.Prefix(nnz);
+  }
 
   size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
   void Clear();
 
-  // Approximate resident bytes (records + stored prefix coordinates +
-  // prefix-dim inverted index). O(records); intended for periodic
-  // sampling, not per-arrival calls.
-  size_t ApproxBytes() const;
+  // Resident bytes: per record its key, the record and its stored prefix
+  // coordinates; per prefix-dim list its key and id capacity. O(1).
+  size_t MemoryBytes() const { return bytes_; }
 
   // Iterates records in insertion (time) order. Fn: void(VectorId,
   // const ResidualRecord&). Used by checkpointing, which must preserve
@@ -96,12 +107,27 @@ class ResidualStore {
     for (const auto& [id, rec] : map_) fn(id, rec);
   }
 
+  // The prefix-dim inverted index, read-only (for the accounting tests).
+  const std::unordered_map<DimId, std::vector<VectorId>>& prefix_dims()
+      const {
+    return prefix_dims_;
+  }
+
  private:
+  static size_t RecordBytes(const ResidualRecord& rec) {
+    return sizeof(VectorId) + sizeof(ResidualRecord) +
+           rec.prefix.nnz() * sizeof(Coord);
+  }
+  static size_t PrefixDimBytes(const std::vector<VectorId>& ids) {
+    return sizeof(DimId) + ids.capacity() * sizeof(VectorId);
+  }
+
   void RegisterPrefixDims(VectorId id, const SparseVector& prefix);
 
   LinkedHashMap<VectorId, ResidualRecord> map_;
   std::unordered_map<DimId, std::vector<VectorId>> prefix_dims_;
   bool track_prefix_dims_;
+  size_t bytes_ = 0;  // MemoryBytes(), maintained by every mutation
 };
 
 }  // namespace sssj

@@ -27,11 +27,12 @@ class StreamIndex {
   // the memory-footprint signal of the paper's STR-vs-MB discussion.
   virtual size_t live_posting_entries() const = 0;
 
-  // Approximate resident bytes of the index structures (posting-list
-  // backing buffers + residual store). The paper reports that when STR
-  // fails it fails on memory (§7): this is the number to watch. Pure
-  // virtual on purpose: a defaulted `return 0` is a silent-zero trap —
-  // an index that forgets to implement it ships a lying mem(MB) column.
+  // Resident bytes of the index structures (posting-list backing buffers
+  // + residual store), exact and O(1): each index keeps running totals
+  // (PostingMap, ResidualStore). The paper reports that when STR fails it
+  // fails on memory (§7): this is the number to watch. Pure virtual on
+  // purpose: a defaulted `return 0` is a silent-zero trap — an index that
+  // forgets to implement it ships a lying mem(MB) column.
   virtual size_t MemoryBytes() const = 0;
 
   RunStats& stats() { return stats_; }

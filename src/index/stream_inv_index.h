@@ -7,7 +7,6 @@
 #ifndef SSSJ_INDEX_STREAM_INV_INDEX_H_
 #define SSSJ_INDEX_STREAM_INV_INDEX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -25,21 +24,20 @@ class StreamInvIndex : public StreamIndex {
   // small: the all-zero prefix_norm column is elided per block).
   explicit StreamInvIndex(const DecayParams& params, bool use_simd = false,
                           const TieredStorageOptions& tiered = {})
-      : params_(params), use_simd_(use_simd), tiered_(tiered) {}
+      : params_(params), use_simd_(use_simd), lists_(tiered) {}
 
   void ProcessArrival(const StreamItem& x, ResultSink* sink) override;
   void Clear() override;
   const char* name() const override { return "INV"; }
   size_t live_posting_entries() const override { return live_entries_; }
-  size_t MemoryBytes() const override {
-    return PostingMapMemoryBytes(lists_);
-  }
+  size_t MemoryBytes() const override { return lists_.MemoryBytes(); }
+  // Read-only view of the index state (introspection and tests).
+  const PostingMap& lists() const { return lists_; }
 
  private:
   DecayParams params_;
   bool use_simd_;
-  TieredStorageOptions tiered_;
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   CandidateMap cands_;
   std::vector<double> contrib_;  // kernel scratch (SIMD path only)
   FrozenColumns posting_;        // frozen-block decode scratch

@@ -79,13 +79,13 @@ void StreamL2Index::GenerateCandidates(const StreamItem& x, Timestamp cutoff,
     const Coord& c = v.coord(i);
     const double rs2 = std::sqrt(std::max(rst, 0.0));
     rst -= c.value * c.value;
-    auto it = lists_.find(c.dim);
-    if (it == lists_.end()) continue;
-    PostingList& list = it->second;
+    PostingList* found = lists_.Find(c.dim);
+    if (found == nullptr) continue;
+    PostingList& list = *found;
     list.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
     if (list.empty()) continue;
     const size_t expired = list.LowerBoundTs(cutoff);
-    if (expired > 0) NotePruned(list.TruncateFront(expired));
+    if (expired > 0) NotePruned(lists_.TruncateFront(&list, expired));
     // The block-cursor walk hands out the hot tail's raw segments first,
     // then decompresses cold frozen blocks one at a time into the kernel
     // scratch — the entry visit order (and so per-candidate FP
@@ -153,9 +153,8 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
     residuals_.Insert(x.id, L2MakeResidualRecord(x, split));
     for (size_t i = split.first_indexed; i < n; ++i) {
       const Coord& c = v.coord(i);
-      PostingList& list = lists_[c.dim];
-      list.Append(x.id, c.value, prefix_norms_[i], x.ts);
-      list.MaybeFreeze(tiered_, stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts,
+                    stats_.vectors_processed);
     }
     NoteIndexed(n - split.first_indexed);
   }
@@ -163,7 +162,7 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
 }
 
 void StreamL2Index::Clear() {
-  lists_.clear();
+  lists_.Clear();
   residuals_.Clear();
   live_entries_ = 0;
 }
@@ -305,10 +304,9 @@ bool StreamL2Index::Deserialize(std::istream& is, std::string* error) {
       SetError(error, "truncated checkpoint (posting columns)");
       return false;
     }
-    PostingList& list = lists_[dim];
+    lists_.FindOrCreate(dim);  // restores empty lists too
     for (size_t i = 0; i < n; ++i) {
-      list.Append(ids[i], values[i], prefix_norms[i], tss[i]);
-      list.MaybeFreeze(tiered_);
+      lists_.Append(dim, ids[i], values[i], prefix_norms[i], tss[i]);
     }
   }
 

@@ -12,7 +12,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -38,7 +37,7 @@ class StreamL2Index : public StreamIndex {
                          const L2IndexOptions& options = {},
                          bool use_simd = false,
                          const TieredStorageOptions& tiered = {})
-      : params_(params), options_(options), tiered_(tiered) {
+      : params_(params), options_(options), lists_(tiered) {
     kernel_.use_simd = use_simd;
   }
 
@@ -54,10 +53,13 @@ class StreamL2Index : public StreamIndex {
   const char* name() const override { return "L2"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override {
-    return residuals_.ApproxBytes() + PostingMapMemoryBytes(lists_);
+    return residuals_.MemoryBytes() + lists_.MemoryBytes();
   }
 
   size_t residual_count() const { return residuals_.size(); }
+  // Read-only views of the index state (introspection and tests).
+  const PostingMap& lists() const { return lists_; }
+  const ResidualStore& residuals() const { return residuals_; }
 
   // Checkpointing: serializes the complete live state (posting lists,
   // residual store, live-entry counter) so a streaming job can be resumed
@@ -83,9 +85,8 @@ class StreamL2Index : public StreamIndex {
 
   DecayParams params_;
   L2IndexOptions options_;
-  TieredStorageOptions tiered_;
   L2KernelState kernel_;  // kernel selection + decay + thaw scratch
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   ResidualStore residuals_;
   CandidateMap cands_;
   std::vector<double> prefix_norms_;  // scratch

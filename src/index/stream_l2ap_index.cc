@@ -36,15 +36,15 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   for (size_t i = n; i-- > 0;) {  // reverse coordinate order
     const Coord& c = v.coord(i);
     const double rs2 = std::sqrt(std::max(rst, 0.0));
-    auto it = lists_.find(c.dim);
-    if (it != lists_.end()) {
-      PostingList& list = it->second;
+    PostingList* found = lists_.Find(c.dim);
+    if (found != nullptr) {
+      PostingList& list = *found;
       list.NoteScanned(stats_.vectors_processed);  // scan-rate classifier
       // Lists are not time-sorted (re-indexing): compact expired entries
       // column-wise, then scan forward — hot-tail segments directly,
       // frozen blocks thawed one at a time into the kernel scratch
       // (§6.2).
-      NotePruned(list.CompactExpired(cutoff, &kernel_.posting));
+      NotePruned(lists_.CompactExpired(&list, cutoff, &kernel_.posting));
       list.ForSpansOldestFirst(0, list.size(), &kernel_.posting,
                                [&](const PostingSpan& sp) {
         // SIMD path: one vectorized exp pass over the span's ts column;
@@ -158,9 +158,8 @@ void StreamL2apIndex::ProcessArrival(const StreamItem& x, ResultSink* sink) {
         residuals_.Insert(x.id, std::move(rec));
         first_indexed = false;
       }
-      PostingList& list = lists_[c.dim];
-      list.Append(x.id, c.value, prefix_norms_[i], x.ts);
-      list.MaybeFreeze(tiered_, stats_.vectors_processed);
+      lists_.Append(c.dim, x.id, c.value, prefix_norms_[i], x.ts,
+                    stats_.vectors_processed);
       ++appended;
     }
   }
@@ -231,21 +230,20 @@ bool StreamL2apIndex::ReindexOne(VectorId id, ResidualRecord* rec) {
     const Coord& c = prefix.coord(i);
     // No m̂λ update needed: all of this vector's coordinates were folded
     // into m̂λ when it first arrived.
-    PostingList& list = lists_[c.dim];
-    list.Append(id, c.value, std::sqrt(sq), rec->ts);
-    list.MaybeFreeze(tiered_, stats_.vectors_processed);
+    lists_.Append(c.dim, id, c.value, std::sqrt(sq), rec->ts,
+                  stats_.vectors_processed);
     sq += c.value * c.value;
     ++appended;
     ++stats_.reindexed_coords;
   }
   NoteIndexed(appended);
-  rec->prefix = prefix.Prefix(boundary);
+  residuals_.ShrinkPrefix(rec, boundary);
   rec->q = q_new;
   return true;
 }
 
 void StreamL2apIndex::Clear() {
-  lists_.clear();
+  lists_.Clear();
   residuals_.Clear();
   m_.Clear();
   mhat_.Clear();

@@ -28,7 +28,6 @@
 #ifndef SSSJ_INDEX_STREAM_L2AP_INDEX_H_
 #define SSSJ_INDEX_STREAM_L2AP_INDEX_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "index/candidate_map.h"
@@ -66,7 +65,7 @@ class StreamL2apIndex : public StreamIndex {
       : params_(params),
         ic_theta_(params.theta * (1.0 - ic_theta_slack)),
         use_l2_bounds_(use_l2_bounds),
-        tiered_(tiered),
+        lists_(tiered),
         residuals_(/*track_prefix_dims=*/true),
         mhat_(params.lambda) {
     kernel_.use_simd = use_simd;
@@ -77,10 +76,13 @@ class StreamL2apIndex : public StreamIndex {
   const char* name() const override { return use_l2_bounds_ ? "L2AP" : "AP"; }
   size_t live_posting_entries() const override { return live_entries_; }
   size_t MemoryBytes() const override {
-    return residuals_.ApproxBytes() + PostingMapMemoryBytes(lists_);
+    return residuals_.MemoryBytes() + lists_.MemoryBytes();
   }
 
   size_t residual_count() const { return residuals_.size(); }
+  // Read-only views of the index state (introspection and tests).
+  const PostingMap& lists() const { return lists_; }
+  const ResidualStore& residuals() const { return residuals_; }
 
  private:
   // Restores the prefix-filtering invariant after m grew in `updated_dims`.
@@ -92,9 +94,8 @@ class StreamL2apIndex : public StreamIndex {
   DecayParams params_;
   double ic_theta_;  // index-construction threshold (≤ params_.theta)
   bool use_l2_bounds_;
-  TieredStorageOptions tiered_;
   L2KernelState kernel_;  // kernel selection + decay + thaw scratch
-  std::unordered_map<DimId, PostingList> lists_;
+  PostingMap lists_;
   ResidualStore residuals_;
   MaxVector m_;
   DecayedMaxVector mhat_;

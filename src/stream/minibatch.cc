@@ -34,14 +34,6 @@ Timestamp WindowEndFor(Timestamp start, double tau) {
   if (tau > 0.0) return start + tau;  // +inf tau → window never closes
   return std::nextafter(start, std::numeric_limits<Timestamp>::infinity());
 }
-
-size_t StreamBytes(const Stream& window) {
-  size_t bytes = 0;
-  for (const StreamItem& item : window) {
-    bytes += sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
-  }
-  return bytes;
-}
 }  // namespace
 
 bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
@@ -70,6 +62,7 @@ bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
     }
   }
   cur_.push_back(x);
+  cur_bytes_ += ItemBytes(x);
   ++stats_.vectors_processed;
   return true;
 }
@@ -82,10 +75,6 @@ void MiniBatchJoin::Flush(ResultSink* sink) {
   started_ = false;
   window_end_ = 0.0;
   last_ts_ = 0.0;
-}
-
-size_t MiniBatchJoin::MemoryBytes() const {
-  return StreamBytes(prev_) + StreamBytes(cur_) + peak_index_bytes_;
 }
 
 void MiniBatchJoin::CloseWindow(ResultSink* sink) {
@@ -127,7 +116,9 @@ void MiniBatchJoin::CloseWindow(ResultSink* sink) {
   stats_ += idx_stats;
 
   prev_ = std::move(cur_);
+  prev_bytes_ = cur_bytes_;
   cur_.clear();
+  cur_bytes_ = 0;
 }
 
 void MiniBatchJoin::QueryWindowParallel(const BatchIndex& index,

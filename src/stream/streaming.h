@@ -77,12 +77,11 @@ class StreamingJoin final : public JoinCore {
  private:
   void RetainItem(const StreamItem& x) {
     live_.push_back(x);
-    live_bytes_ += sizeof(StreamItem) + x.vec.nnz() * sizeof(Coord);
+    live_bytes_ += ItemBytes(x);
     // Prune strictly-out-of-horizon items only: at Δt == τ a dot of 1
     // still reaches θ exactly (sim = θ qualifies), so `>` not `>=`.
     while (!live_.empty() && x.ts - live_.front().ts > params_.tau) {
-      live_bytes_ -=
-          sizeof(StreamItem) + live_.front().vec.nnz() * sizeof(Coord);
+      live_bytes_ -= ItemBytes(live_.front());
       live_.pop_front();
     }
   }

@@ -29,6 +29,7 @@
 #ifndef SSSJ_UTIL_COLUMNAR_BUFFER_H_
 #define SSSJ_UTIL_COLUMNAR_BUFFER_H_
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
@@ -203,7 +204,10 @@ class ColumnarBuffer {
   }
 
   // Column offsets within a block of the given capacity, plus the total
-  // block size (last array slot).
+  // block size (last array slot). offsets_ keeps only the column
+  // offsets and a copy recomputes the block size here: the header stays
+  // one word smaller, which PostingList spends on its cached frozen-block
+  // total without growing (its size is charged per list in MemoryBytes).
   static std::array<size_t, kNumColumns + 1> LayoutFor(size_t capacity) {
     std::array<size_t, kNumColumns + 1> offsets{};
     const size_t sizes[] = {sizeof(Ts)...};
@@ -216,13 +220,6 @@ class ColumnarBuffer {
     }
     offsets[kNumColumns] = off;
     return offsets;
-  }
-
-  // Replaces the block with a fresh (uninitialized) one of `capacity`.
-  void Allocate(size_t capacity) {
-    offsets_ = LayoutFor(capacity);
-    block_ = std::make_unique<unsigned char[]>(offsets_[kNumColumns]);
-    capacity_ = capacity;
   }
 
   // Re-homes the live range to the front of a block of `new_capacity`;
@@ -243,7 +240,7 @@ class ColumnarBuffer {
       }
     }
     block_ = std::move(new_block);
-    offsets_ = new_offsets;
+    std::copy_n(new_offsets.begin(), kNumColumns, offsets_.begin());
     capacity_ = new_capacity;
     head_ = 0;
   }
@@ -253,16 +250,17 @@ class ColumnarBuffer {
       ResetToEmpty();
       return;
     }
+    const size_t block_bytes = LayoutFor(other.capacity_)[kNumColumns];
     offsets_ = other.offsets_;
-    block_ = std::make_unique<unsigned char[]>(offsets_[kNumColumns]);
-    std::memcpy(block_.get(), other.block_.get(), offsets_[kNumColumns]);
+    block_ = std::make_unique<unsigned char[]>(block_bytes);
+    std::memcpy(block_.get(), other.block_.get(), block_bytes);
     capacity_ = other.capacity_;
     head_ = other.head_;
     size_ = other.size_;
   }
 
   std::unique_ptr<unsigned char[]> block_;
-  std::array<size_t, kNumColumns + 1> offsets_{};
+  std::array<size_t, kNumColumns> offsets_{};  // column starts in block_
   size_t capacity_ = 0;
   size_t head_ = 0;
   size_t size_ = 0;

@@ -213,8 +213,8 @@ FrozenBlock FrozenBlock::Freeze(const FrozenSourceRun* runs, size_t nruns,
   return block;
 }
 
-void FrozenBlock::Thaw(FrozenColumns* out, bool fill_elided_prefix_norm,
-                       bool skip_value) const {
+void FrozenBlock::Thaw(FrozenColumns* out,
+                       bool fill_elided_prefix_norm) const {
   const size_t n = count_;
   out->id.resize(n);
   out->value.resize(n);
@@ -241,10 +241,8 @@ void FrozenBlock::Thaw(FrozenColumns* out, bool fill_elided_prefix_norm,
                                out->ts.data());
   assert(p == base + ts_end_);
   (void)p;
-  if (!skip_value) {
-    DecodeValueColumn(base + ts_end_, base + value_end_, n, tier_,
-                      out->value.data());
-  }
+  DecodeValueColumn(base + ts_end_, base + value_end_, n, tier_,
+                    out->value.data());
   if (has_prefix_norm_) {
     DecodeValueColumn(base + value_end_, base + bytes_.size(), n, tier_,
                       out->prefix_norm.data());

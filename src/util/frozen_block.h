@@ -167,31 +167,15 @@ class FrozenBlock {
   // time); such blocks decode the column as zeros.
   bool has_prefix_norm() const { return has_prefix_norm_; }
 
-  // When the exact-tier encoder kept the value column as raw fp64 (its
-  // adaptive fallback — the common case for real-valued streams), the
-  // doubles sit verbatim inside the compressed byte buffer and scans can
-  // read them in place instead of copying them out in Thaw. Returns that
-  // in-place column, or nullptr when the column was actually encoded
-  // (quantized tier or double-delta payload). May be unaligned; every
-  // consumer uses unaligned loads (scalar x86-64 or loadu kernels).
-  const double* inline_exact_values() const {
-    if (compressed_ && count_ != 0 && tier_ == ValueTier::kExact &&
-        bytes_[ts_end_] == 0) {
-      return reinterpret_cast<const double*>(bytes_.data() + ts_end_ + 1);
-    }
-    return nullptr;
-  }
-
   // Decompresses every entry into `out` (overwriting, resized to
   // count()). Allocation-free once the scratch has grown to block size.
   // With `fill_elided_prefix_norm` false, an elided prefix_norm column
   // is left with unspecified contents (only resized) — for callers that
   // serve zeros from elsewhere (FrozenColumns::zeros) and would
-  // otherwise pay a memset per scan. With `skip_value` true the value
-  // column is likewise left unspecified — for scans that read it in
-  // place via inline_exact_values().
-  void Thaw(FrozenColumns* out, bool fill_elided_prefix_norm = true,
-            bool skip_value = false) const;
+  // otherwise pay a memset per scan. An exact-tier value column the
+  // encoder kept as raw fp64 sits unaligned inside the byte buffer, so it
+  // is always copied out (memcpy) rather than read in place.
+  void Thaw(FrozenColumns* out, bool fill_elided_prefix_norm = true) const;
 
   // Number of leading entries with ts < cutoff. Requires time_sorted();
   // walks only the ts stream, stopping at the boundary. Used to position

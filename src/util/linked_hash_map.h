@@ -65,6 +65,18 @@ class LinkedHashMap {
     return list_it->second;
   }
 
+  // Returns the value stored under `key` and whether it was absent; an
+  // absent key first gets a default-constructed value at the back of the
+  // order list. One hash lookup either way.
+  std::pair<V*, bool> try_emplace(const K& key) {
+    auto [it, inserted] = index_.try_emplace(key);
+    if (inserted) {
+      order_.emplace_back(key, V{});
+      it->second = std::prev(order_.end());
+    }
+    return {&it->second->second, inserted};
+  }
+
   bool erase(const K& key) {
     auto it = index_.find(key);
     if (it == index_.end()) return false;

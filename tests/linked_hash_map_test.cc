@@ -36,6 +36,23 @@ TEST(LinkedHashMapTest, InsertExistingReplacesInPlace) {
   EXPECT_EQ(m.front().first, 1);
 }
 
+TEST(LinkedHashMapTest, TryEmplaceReportsInsertionAndKeepsOrder) {
+  LinkedHashMap<int, std::string> m;
+  auto [a, a_new] = m.try_emplace(1);
+  ASSERT_TRUE(a_new);
+  EXPECT_TRUE(a->empty());  // default-constructed
+  *a = "a";
+  m.insert(2, "b");
+  auto [again, again_new] = m.try_emplace(1);
+  EXPECT_FALSE(again_new);
+  EXPECT_EQ(*again, "a");  // the stored value, not a fresh one
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.front().first, 1);  // order position kept
+  m.pop_front();
+  EXPECT_EQ(m.front().first, 2);
+  EXPECT_EQ(m.find(1), nullptr);
+}
+
 TEST(LinkedHashMapTest, IterationFollowsInsertionOrder) {
   LinkedHashMap<int, int> m;
   for (int i = 9; i >= 0; --i) m.insert(i, i * i);

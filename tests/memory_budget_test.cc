@@ -4,6 +4,8 @@
 // instead of unbounded growth.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +18,7 @@ namespace {
 
 using ::sssj::testing::RandomStream;
 using ::sssj::testing::RandomStreamSpec;
+using ::sssj::testing::WalkMemoryBytes;
 
 EngineConfig BudgetedEngineConfig() {
   EngineConfig cfg;
@@ -112,6 +115,119 @@ TEST(MemoryBudgetTest, SessionsKeepRunningUnderTightBudgetViaEviction) {
     }
     EXPECT_TRUE(service.CloseSession(handles[s]).ok());
   }
+}
+
+TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
+  // Each session has a standalone mirror engine fed the same items and
+  // spilled/reloaded through the same checkpoint whenever the service
+  // evicts/reloads the session, so the mirrors' accounting walks are the
+  // true resident bytes. After every Push and PushBatch the service total
+  // (and each session's share) must equal the walks, and the budget check
+  // — made at the start of each call on the totals the previous call
+  // left — must evict on exactly the first call that finds the walked
+  // total over the budget, and on no other.
+  const EngineConfig cfg = BudgetedEngineConfig();
+  const Stream stream = SessionStream(77);
+  size_t one_session_bytes = 0;
+  {
+    auto probe = *SssjEngine::Make(cfg);
+    for (const StreamItem& item : stream) {
+      ASSERT_TRUE(probe->Push(item.ts, item.vec).ok());
+    }
+    one_session_bytes = probe->MemoryBytes();
+  }
+  JoinServiceOptions options;
+  options.memory_budget_bytes = one_session_bytes + one_session_bytes / 4;
+  options.spill_dir = ::testing::TempDir();
+  JoinService service(options);
+
+  struct Tenant {
+    JoinService::SessionHandle handle;
+    std::unique_ptr<SssjEngine> mirror;
+    std::string spilled;  // the mirror's checkpoint while evicted
+    bool evicted = false;
+  };
+  Tenant tenants[2];
+  for (int s = 0; s < 2; ++s) {
+    // Names sort in index order, matching ServiceStats::sessions.
+    auto handle = service.CreateSession({"exact-" + std::to_string(s), cfg,
+                                         /*sink=*/nullptr});
+    ASSERT_TRUE(handle.ok()) << handle.status().message();
+    tenants[s].handle = *handle;
+    tenants[s].mirror = *SssjEngine::Make(cfg);
+  }
+  auto walked_total = [&tenants]() {
+    size_t total = 0;
+    for (const Tenant& t : tenants) total += WalkMemoryBytes(*t.mirror);
+    return total;
+  };
+
+  uint64_t evictions = 0;
+  auto push = [&](int s, const Stream& batch, bool as_batch) {
+    Tenant& tenant = tenants[s];
+    const size_t before = walked_total();
+    if (tenant.evicted) {  // the service reloads it before applying
+      tenant.mirror = *SssjEngine::Make(cfg);
+      std::istringstream blob(tenant.spilled);
+      ASSERT_TRUE(tenant.mirror->LoadCheckpoint(blob).ok());
+      tenant.evicted = false;
+    }
+    if (as_batch) {
+      auto result = service.PushBatch(tenant.handle, batch);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      ASSERT_EQ(result->accepted, batch.size());
+      ASSERT_EQ(tenant.mirror->PushBatch(batch).accepted, batch.size());
+    } else {
+      for (const StreamItem& item : batch) {
+        const Status status = service.Push(tenant.handle, item.ts, item.vec);
+        ASSERT_TRUE(status.ok()) << status.message();
+        ASSERT_TRUE(tenant.mirror->Push(item.ts, item.vec).ok());
+      }
+    }
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.sessions_evicted > evictions,
+              before > options.memory_budget_bytes)
+        << "walked total before the call: " << before;
+    evictions = stats.sessions_evicted;
+    ASSERT_EQ(stats.sessions.size(), 2u);
+    for (int v = 0; v < 2; ++v) {
+      if (stats.sessions[v].evicted && !tenants[v].evicted) {
+        std::ostringstream blob;
+        ASSERT_TRUE(tenants[v].mirror->SaveCheckpoint(blob).ok());
+        tenants[v].spilled = blob.str();
+        tenants[v].mirror = *SssjEngine::Make(cfg);
+        tenants[v].evicted = true;
+      }
+      EXPECT_EQ(stats.sessions[v].memory_bytes,
+                WalkMemoryBytes(*tenants[v].mirror))
+          << "session " << v;
+    }
+    EXPECT_EQ(stats.memory_bytes, walked_total());
+  };
+
+  // Session 0 grows to half a stream item by item; session 1 grows in
+  // batches until session 0 no longer fits and is spilled; session 0
+  // then reloads, finishes item by item and pushes session 1 out.
+  constexpr size_t kBatch = 8;
+  const size_t half = stream.size() / 2;
+  auto run = [&](int s, size_t begin, size_t end, bool as_batch) {
+    const size_t step = as_batch ? kBatch : 1;
+    for (size_t i = begin; i < end; i += step) {
+      push(s,
+           Stream(stream.begin() + static_cast<ptrdiff_t>(i),
+                  stream.begin() + static_cast<ptrdiff_t>(
+                                       std::min(end, i + step))),
+           as_batch);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  };
+  run(0, 0, half, /*as_batch=*/false);
+  run(1, 0, stream.size(), /*as_batch=*/true);
+  run(0, half, stream.size(), /*as_batch=*/false);
+  const ServiceStats stats = service.Stats();
+  EXPECT_GE(stats.sessions_evicted, 2u);  // both sessions were spilled
+  EXPECT_GT(stats.session_reloads, 0u);
+  EXPECT_EQ(stats.budget_rejections, 0u);
 }
 
 TEST(MemoryBudgetTest, UnmeetableBudgetReturnsResourceExhausted) {

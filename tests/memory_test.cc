@@ -2,8 +2,6 @@
 // that STR fails by memory while MB fails by time (§7).
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-
 #include "index/posting_list.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
@@ -113,13 +111,13 @@ TEST(MemoryTest, PostingMapCountsNodeAndBucketOverhead) {
   // An unordered_map of 200 near-empty lists costs far more than the sum
   // of the lists alone: each node carries the key, hash link, and heap
   // header, and the bucket array is resident too.
-  std::unordered_map<DimId, PostingList> map;
+  PostingMap map;
   size_t lists_only = 0;
   for (DimId d = 0; d < 200; ++d) {
-    map[d].Append(d, 1.0, 1.0, 0.0);
+    map.Append(d, d, 1.0, 1.0, 0.0);
   }
   for (const auto& [dim, list] : map) lists_only += list.memory_bytes();
-  const size_t total = PostingMapMemoryBytes(map);
+  const size_t total = map.MemoryBytes();
   EXPECT_GT(total, lists_only);
   // At minimum: one pointer per bucket plus a node header per entry.
   EXPECT_GE(total - lists_only,

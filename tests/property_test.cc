@@ -18,24 +18,49 @@ namespace {
 using ::sssj::testing::ExpectMatchesOracle;
 using ::sssj::testing::Item;
 using ::sssj::testing::UnitVec;
+using ::sssj::testing::WalkMemoryBytes;
+
+// Small frozen blocks, so the short property streams freeze, amend,
+// expire and compact blocks. The exact value tier leaves output unchanged.
+TieredStorageOptions SmallTiers() {
+  TieredStorageOptions opts;
+  opts.enabled = true;
+  opts.block_entries = 4;
+  opts.hot_tail_entries = 4;
+  opts.dormant_tail_entries = 2;
+  opts.dormant_after_appends = 3;
+  opts.cold_freeze_quantum = 2;
+  return opts;
+}
 
 std::vector<std::unique_ptr<StreamIndex>> AllStreamIndexes(
-    const DecayParams& params) {
+    const DecayParams& params, bool tiered = false) {
+  const TieredStorageOptions opts =
+      tiered ? SmallTiers() : TieredStorageOptions{};
   std::vector<std::unique_ptr<StreamIndex>> out;
-  out.push_back(std::make_unique<StreamInvIndex>(params));
-  out.push_back(std::make_unique<StreamL2Index>(params));
-  out.push_back(std::make_unique<StreamL2apIndex>(params));
+  out.push_back(std::make_unique<StreamInvIndex>(params, false, opts));
+  out.push_back(
+      std::make_unique<StreamL2Index>(params, L2IndexOptions{}, false, opts));
+  out.push_back(
+      std::make_unique<StreamL2apIndex>(params, 0.0, true, false, opts));
   return out;
 }
 
+// Every scheme, tiered and not, against the oracle; MemoryBytes() must
+// equal the accounting walk after every arrival.
 void CheckAll(const Stream& stream, const DecayParams& params) {
-  for (auto& index : AllStreamIndexes(params)) {
-    SCOPED_TRACE(index->name());
-    CollectorSink sink;
-    for (const StreamItem& item : stream) {
-      index->ProcessArrival(item, &sink);
+  for (bool tiered : {false, true}) {
+    for (auto& index : AllStreamIndexes(params, tiered)) {
+      SCOPED_TRACE(std::string(index->name()) +
+                   (tiered ? " tiered" : " flat"));
+      CollectorSink sink;
+      for (const StreamItem& item : stream) {
+        index->ProcessArrival(item, &sink);
+        ASSERT_EQ(index->MemoryBytes(), WalkMemoryBytes(*index))
+            << "after item " << item.id;
+      }
+      ExpectMatchesOracle(stream, params, sink.pairs());
     }
-    ExpectMatchesOracle(stream, params, sink.pairs());
   }
   // Same shapes through the MiniBatch framework (all batch indexes).
   for (IndexScheme ix : {IndexScheme::kInv, IndexScheme::kAp,
@@ -53,8 +78,11 @@ void CheckAll(const Stream& stream, const DecayParams& params) {
     auto engine = *std::move(engine_or);
     for (const StreamItem& item : stream) {
       ASSERT_TRUE(engine->Push(item.ts, item.vec).ok());
+      ASSERT_EQ(engine->MemoryBytes(), WalkMemoryBytes(*engine))
+          << "after item " << item.id;
     }
     engine->Flush();
+    EXPECT_EQ(engine->MemoryBytes(), WalkMemoryBytes(*engine));
     ExpectMatchesOracle(stream, params, sink.pairs());
   }
 }

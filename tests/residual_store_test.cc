@@ -81,7 +81,7 @@ TEST(ResidualStoreTest, PrefixDimIterationSkipsShrunkenPrefixes) {
   // the lazy inverted index must not report it.
   ResidualStore store(/*track_prefix_dims=*/true);
   store.Insert(1, Rec(0.0, RawVec({{2, 1.0}, {5, 1.0}})));
-  store.Find(1)->prefix = RawVec({{2, 1.0}});  // dim 5 moved to the index
+  store.ShrinkPrefix(store.Find(1), 1);  // dim 5 moved to the index
   std::vector<VectorId> hits;
   store.ForEachWithPrefixDim(5, [&](VectorId id, ResidualRecord&) {
     hits.push_back(id);

@@ -10,8 +10,17 @@
 #include <vector>
 
 #include "core/brute_force.h"
+#include "core/engine.h"
 #include "core/result.h"
 #include "core/stream_item.h"
+#include "index/decayed_stream_index.h"
+#include "index/posting_list.h"
+#include "index/residual_store.h"
+#include "index/stream_inv_index.h"
+#include "index/stream_l2_index.h"
+#include "index/stream_l2ap_index.h"
+#include "stream/minibatch.h"
+#include "stream/streaming.h"
 #include "util/random.h"
 
 namespace sssj::testing {
@@ -124,6 +133,93 @@ inline void ExpectMatchesOracle(const Stream& stream,
   }
   // No duplicates.
   EXPECT_EQ(actual_set.size(), actual.size()) << "duplicate pairs reported";
+}
+
+// ---- accounting oracle ----
+//
+// Every MemoryBytes() in the library is a running total kept at the
+// mutation sites. These helpers recompute the same figure from scratch by
+// walking every structure — the O(state) definition the totals must
+// reproduce exactly, after every operation.
+
+inline size_t WalkMemoryBytes(const PostingList& list) {
+  size_t bytes = sizeof(PostingList) + list.capacity_bytes() +
+                 list.frozen().capacity() * sizeof(FrozenBlock);
+  for (const FrozenBlock& blk : list.frozen()) {
+    bytes += blk.memory_bytes() - sizeof(FrozenBlock);  // payload only
+  }
+  return bytes;
+}
+
+// The bucket array, then per list its map node (key and pair padding,
+// plus two chaining pointers) and the list itself.
+inline size_t WalkMemoryBytes(const PostingMap& lists) {
+  size_t bytes = lists.bucket_count() * sizeof(void*);
+  for (const auto& [dim, list] : lists) {
+    bytes += sizeof(PostingMap::Map::value_type) - sizeof(PostingList) +
+             2 * sizeof(void*) + WalkMemoryBytes(list);
+  }
+  return bytes;
+}
+
+inline size_t WalkMemoryBytes(const ResidualStore& store) {
+  size_t bytes = 0;
+  store.ForEachInOrder([&bytes](VectorId, const ResidualRecord& rec) {
+    bytes += sizeof(VectorId) + sizeof(ResidualRecord) +
+             rec.prefix.nnz() * sizeof(Coord);
+  });
+  for (const auto& [dim, ids] : store.prefix_dims()) {
+    bytes += sizeof(DimId) + ids.capacity() * sizeof(VectorId);
+  }
+  return bytes;
+}
+
+inline size_t WalkMemoryBytes(const StreamIndex& index) {
+  if (auto* ix = dynamic_cast<const StreamInvIndex*>(&index)) {
+    return WalkMemoryBytes(ix->lists());
+  }
+  if (auto* ix = dynamic_cast<const GeneralDecayInvIndex*>(&index)) {
+    return WalkMemoryBytes(ix->lists());
+  }
+  if (auto* ix = dynamic_cast<const StreamL2Index*>(&index)) {
+    return WalkMemoryBytes(ix->residuals()) + WalkMemoryBytes(ix->lists());
+  }
+  if (auto* ix = dynamic_cast<const StreamL2apIndex*>(&index)) {
+    return WalkMemoryBytes(ix->residuals()) + WalkMemoryBytes(ix->lists());
+  }
+  if (auto* ix = dynamic_cast<const GeneralDecayL2Index*>(&index)) {
+    return WalkMemoryBytes(ix->residuals()) + WalkMemoryBytes(ix->lists());
+  }
+  ADD_FAILURE() << "no accounting walk for index " << index.name();
+  return 0;
+}
+
+inline size_t WalkItemBytes(const JoinCore& core) {
+  Stream live;
+  core.CollectLiveItems(&live);
+  size_t bytes = 0;
+  for (const StreamItem& item : live) {
+    bytes += sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
+  }
+  return bytes;
+}
+
+// STR: the index plus the retained live items; MB: the two buffered
+// windows plus the per-window index high-water mark (batch indexes keep
+// their own walk — they are sized once per window close).
+inline size_t WalkMemoryBytes(const JoinCore& core) {
+  if (const StreamingJoin* str = core.AsStreaming()) {
+    return WalkMemoryBytes(str->index()) + WalkItemBytes(core);
+  }
+  if (auto* mb = dynamic_cast<const MiniBatchJoin*>(&core)) {
+    return WalkItemBytes(core) + mb->peak_index_bytes();
+  }
+  ADD_FAILURE() << "no accounting walk for this JoinCore";
+  return 0;
+}
+
+inline size_t WalkMemoryBytes(const SssjEngine& engine) {
+  return WalkMemoryBytes(engine.core());
 }
 
 }  // namespace sssj::testing

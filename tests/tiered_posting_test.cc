@@ -18,6 +18,7 @@ namespace {
 
 using ::sssj::testing::RandomStream;
 using ::sssj::testing::RandomStreamSpec;
+using ::sssj::testing::WalkMemoryBytes;
 
 TieredStorageOptions SmallBlocks() {
   TieredStorageOptions opts;
@@ -204,6 +205,9 @@ std::vector<ResultPair> RunEngine(const EngineConfig& cfg, const Stream& s) {
   for (const StreamItem& item : s) {
     const Status status = (*engine)->Push(item.ts, item.vec);
     EXPECT_TRUE(status.ok()) << status.message();
+    // The O(1) running total must equal the accounting walk throughout.
+    EXPECT_EQ((*engine)->MemoryBytes(), WalkMemoryBytes(**engine))
+        << "after item " << item.id;
   }
   (*engine)->Flush();
   return sink.pairs();
