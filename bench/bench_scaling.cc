@@ -4,6 +4,9 @@
 // grows linearly in n and the method "is able to run on all datasets",
 // while MB's window-rebuild overhead accumulates. This bench sweeps n at
 // fixed (θ, λ) and prints time and throughput for STR-L2, STR-INV, MB-L2.
+// Every timed table except the tenancy sweep runs each cell kReps times,
+// interleaved (all cells of a round, then the next round), so host drift
+// hits every cell alike, and reports the median with min and max.
 // Everything measured is also written as machine-readable JSON to
 // --json-out (default BENCH_scaling.json; empty string disables).
 //
@@ -17,8 +20,6 @@
 // fed the full stream from its own thread, so the per-session throughput
 // column is the multi-tenant overhead. Skip all of them with --no-threads.
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <iostream>
 #include <sstream>
 #include <thread>
@@ -33,7 +34,7 @@
 namespace sssj {
 namespace {
 
-// The compiler that built this binary, recorded with the cluster baseline.
+// The compiler that built this binary, recorded with every baseline.
 constexpr const char* kCompiler =
 #if defined(__clang__)
     "clang " __clang_version__;
@@ -43,16 +44,27 @@ constexpr const char* kCompiler =
     "unknown";
 #endif
 
+// Repetitions of every timed cell; the tables report median, min, max.
+constexpr int kReps = 3;
+
+struct RepTimes {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+RepTimes Summarize(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return {seconds[seconds.size() / 2], seconds.front(), seconds.back()};
+}
+
 // One thread-count sweep table for MB-L2 over `stream`: runs the whole
-// stream per thread count and reports throughput and speedup. The
-// speedup column is always relative to a measured num_threads=1 run, even
-// when 1 is not in `thread_list`.
-void PrintThreadSweep(const Stream& stream, double theta, double lambda,
-                      const std::vector<double>& thread_list, bool tsv,
-                      const std::string& caption) {
-  TablePrinter table({"threads", "time(s)", "kvec/s", "pairs", "speedup",
-                      "mem(MB)"},
-                     tsv);
+// stream kReps times per thread count, interleaved, and reports the
+// median throughput and speedup. The speedup column is always relative to
+// a measured num_threads=1 run, even when 1 is not in `thread_list`.
+JsonValue PrintThreadSweep(const Stream& stream, double theta, double lambda,
+                           const std::vector<double>& thread_list, bool tsv,
+                           const std::string& caption) {
   const auto run = [&](int threads, uint64_t* pairs, uint64_t* mem) {
     EngineConfig cfg;
     cfg.framework = Framework::kMiniBatch;
@@ -69,32 +81,53 @@ void PrintThreadSweep(const Stream& stream, double theta, double lambda,
     *mem = engine->MemoryBytes();
     return timer.ElapsedSeconds();
   };
-  uint64_t baseline_pairs = 0;
-  uint64_t baseline_mem = 0;
-  const double baseline_seconds = run(1, &baseline_pairs, &baseline_mem);
+  // Slot 0 is the num_threads=1 baseline; a 1 in the list reuses it.
+  std::vector<int> threads = {1};
+  std::vector<size_t> shown;  // slots to print, in list order
   for (double threads_d : thread_list) {
-    const int threads = static_cast<int>(threads_d);
-    if (threads < 1) continue;
-    uint64_t pairs = baseline_pairs;
-    uint64_t mem = baseline_mem;
-    const double seconds =
-        threads == 1 ? baseline_seconds : run(threads, &pairs, &mem);
-    table.AddRow({std::to_string(threads), FormatDouble(seconds, 3),
-                  FormatDouble(stream.size() / seconds / 1000.0, 1),
-                  std::to_string(pairs),
-                  FormatDouble(baseline_seconds / seconds, 2) + "x",
-                  FormatDouble(mem / (1024.0 * 1024.0), 2)});
+    const int t = static_cast<int>(threads_d);
+    if (t < 1) continue;
+    shown.push_back(t == 1 ? 0 : threads.size());
+    if (t > 1) threads.push_back(t);
   }
+  std::vector<std::vector<double>> seconds(threads.size());
+  std::vector<uint64_t> pairs(threads.size()), mem(threads.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t i = 0; i < threads.size(); ++i) {
+      seconds[i].push_back(run(threads[i], &pairs[i], &mem[i]));
+    }
+  }
+  const RepTimes baseline = Summarize(seconds[0]);
+
+  TablePrinter table({"threads", "time(s)", "min", "max", "kvec/s", "pairs",
+                      "speedup", "mem(MB)"},
+                     tsv);
+  JsonValue rows = JsonValue::Array();
+  const auto add_row = [&](size_t i) {
+    const RepTimes t = Summarize(seconds[i]);
+    const double kvec = stream.size() / t.median / 1000.0;
+    const double speedup = baseline.median / t.median;
+    table.AddRow({std::to_string(threads[i]), FormatDouble(t.median, 3),
+                  FormatDouble(t.min, 3), FormatDouble(t.max, 3),
+                  FormatDouble(kvec, 1), std::to_string(pairs[i]),
+                  FormatDouble(speedup, 2) + "x",
+                  FormatDouble(mem[i] / (1024.0 * 1024.0), 2)});
+    rows.Push(JsonValue::Object()
+                  .Set("threads", static_cast<uint64_t>(threads[i]))
+                  .Set("seconds", t.median)
+                  .Set("seconds_min", t.min)
+                  .Set("seconds_max", t.max)
+                  .Set("kvec_per_s", kvec)
+                  .Set("pairs", pairs[i])
+                  .Set("speedup", speedup)
+                  .Set("memory_bytes", mem[i]));
+  };
+  for (size_t i : shown) add_row(i);
   std::cout << caption;
   table.Print(std::cout);
-}
-
-// Sorted-percentile helper for the latency columns (nearest-rank on a
-// pre-sorted sample).
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  return sorted[static_cast<size_t>(std::llround(rank))];
+  return JsonValue::Object()
+      .Set("n", static_cast<uint64_t>(stream.size()))
+      .Set("rows", std::move(rows));
 }
 
 int Run(int argc, char** argv) {
@@ -113,7 +146,9 @@ int Run(int argc, char** argv) {
       .Set("lambda", lambda)
       .Set("seed", args.seed)
       .Set("hardware_threads",
-           static_cast<uint64_t>(std::thread::hardware_concurrency()));
+           static_cast<uint64_t>(std::thread::hardware_concurrency()))
+      .Set("compiler", kCompiler)
+      .Set("reps", static_cast<uint64_t>(kReps));
   JsonValue scaling_rows = JsonValue::Array();
   const auto write_doc = [&](JsonValue rows) {
     doc.Set("scaling", std::move(rows));
@@ -129,55 +164,77 @@ int Run(int argc, char** argv) {
   // Every variant runs once per kernel path; the kernel column turns the
   // scaling table into a scalar-vs-SIMD comparison at each stream length.
   const KernelMode kernel_modes[] = {KernelMode::kScalar, KernelMode::kSimd};
-  TablePrinter table({"n", "variant", "kernel", "time(s)", "kvec/s", "pairs",
-                      "peak_entries", "mem(MB)"},
+  TablePrinter table({"n", "variant", "kernel", "time(s)", "min", "max",
+                      "kvec/s", "pairs", "peak_entries", "mem(MB)"},
                      args.tsv);
+  struct Variant {
+    const char* label;
+    Framework fw;
+    IndexScheme ix;
+  };
+  const Variant variants[] = {
+      {"STR-L2", Framework::kStreaming, IndexScheme::kL2},
+      {"STR-INV", Framework::kStreaming, IndexScheme::kInv},
+      {"MB-L2", Framework::kMiniBatch, IndexScheme::kL2},
+  };
   for (double scale : scales) {
     const Stream stream =
         GenerateProfile(DatasetProfile::kRcv1, scale, args.seed);
-    struct Variant {
-      const char* label;
-      Framework fw;
-      IndexScheme ix;
+    struct Cell {
+      const Variant* variant;
+      KernelMode kernel;
+      std::vector<double> seconds;
+      RunResult last;  // counts and bytes are identical on every rep
     };
-    const Variant variants[] = {
-        {"STR-L2", Framework::kStreaming, IndexScheme::kL2},
-        {"STR-INV", Framework::kStreaming, IndexScheme::kInv},
-        {"MB-L2", Framework::kMiniBatch, IndexScheme::kL2},
-    };
+    std::vector<Cell> cells;
     for (const Variant& v : variants) {
       for (KernelMode kernel : kernel_modes) {
+        cells.push_back({&v, kernel, {}, {}});
+      }
+    }
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (Cell& cell : cells) {
         RunConfig cfg;
-        cfg.framework = v.fw;
-        cfg.index = v.ix;
+        cfg.framework = cell.variant->fw;
+        cfg.index = cell.variant->ix;
         cfg.theta = theta;
         cfg.lambda = lambda;
-        cfg.kernel = kernel;
-        const RunResult r = RunJoin(stream, cfg);
-        table.AddRow({std::to_string(stream.size()), v.label,
-                      ToString(kernel), FormatDouble(r.seconds, 3),
-                      FormatDouble(stream.size() / r.seconds / 1000.0, 1),
-                      std::to_string(r.pairs),
-                      std::to_string(r.stats.peak_index_entries),
-                      FormatDouble(r.memory_bytes / (1024.0 * 1024.0), 2)});
-        scaling_rows.Push(
-            JsonValue::Object()
-                .Set("n", static_cast<uint64_t>(stream.size()))
-                .Set("variant", v.label)
-                .Set("kernel", ToString(kernel))
-                .Set("seconds", r.seconds)
-                .Set("kvec_per_s", stream.size() / r.seconds / 1000.0)
-                .Set("pairs", r.pairs)
-                .Set("peak_index_entries", r.stats.peak_index_entries)
-                .Set("memory_bytes", r.memory_bytes));
+        cfg.kernel = cell.kernel;
+        cell.last = RunJoin(stream, cfg);
+        cell.seconds.push_back(cell.last.seconds);
       }
+    }
+    for (const Cell& cell : cells) {
+      const RepTimes t = Summarize(cell.seconds);
+      const RunResult& r = cell.last;
+      const double kvec = stream.size() / t.median / 1000.0;
+      table.AddRow({std::to_string(stream.size()), cell.variant->label,
+                    ToString(cell.kernel), FormatDouble(t.median, 3),
+                    FormatDouble(t.min, 3), FormatDouble(t.max, 3),
+                    FormatDouble(kvec, 1), std::to_string(r.pairs),
+                    std::to_string(r.stats.peak_index_entries),
+                    FormatDouble(r.memory_bytes / (1024.0 * 1024.0), 2)});
+      scaling_rows.Push(
+          JsonValue::Object()
+              .Set("n", static_cast<uint64_t>(stream.size()))
+              .Set("variant", cell.variant->label)
+              .Set("kernel", ToString(cell.kernel))
+              .Set("seconds", t.median)
+              .Set("seconds_min", t.min)
+              .Set("seconds_max", t.max)
+              .Set("kvec_per_s", kvec)
+              .Set("pairs", r.pairs)
+              .Set("peak_index_entries", r.stats.peak_index_entries)
+              .Set("memory_bytes", r.memory_bytes));
     }
   }
   std::cout << "Scaling: time vs stream length at fixed theta=" << theta
             << ", lambda=" << lambda
             << " (RCV1Like; expect ~constant kvec/s for STR; simd rows use "
                "the "
-            << ToString(DetectSimdLevel()) << " kernels)\n";
+            << ToString(DetectSimdLevel())
+            << " kernels; median, min and max of " << kReps
+            << " interleaved reps)\n";
   table.Print(std::cout);
 
   // ---- Cluster sweep: in-process vs K-worker fleet over the wire ----
@@ -239,17 +296,15 @@ int Run(int argc, char** argv) {
       return timer.ElapsedSeconds();
     };
 
-    // Every mode runs kClusterReps times, interleaved (in-process, 1
-    // worker, 2, ... then again), so host drift hits all modes alike; the
-    // rows report the median with min and max. Mode 0 is in-process.
-    constexpr int kClusterReps = 3;
+    // Every mode runs kReps times, interleaved (in-process, 1 worker, 2,
+    // ... then again). Mode 0 is in-process.
     std::vector<int> modes = {0};
     for (double workers_d : worker_list) {
       modes.push_back(workers_d < 1 ? 1 : static_cast<int>(workers_d));
     }
     std::vector<std::vector<double>> seconds(modes.size());
     uint64_t baseline_pairs = 0;
-    for (int rep = 0; rep < kClusterReps; ++rep) {
+    for (int rep = 0; rep < kReps; ++rep) {
       for (size_t m = 0; m < modes.size(); ++m) {
         uint64_t pairs = 0;
         if (modes[m] == 0) {
@@ -285,18 +340,13 @@ int Run(int argc, char** argv) {
     JsonValue cluster_rows = JsonValue::Array();
     const double pushes = static_cast<double>(cluster_sessions) *
                           static_cast<double>(stream.size());
-    const auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    const double baseline_seconds = median(seconds[0]);
+    const double baseline_seconds = Summarize(seconds[0]).median;
     for (size_t m = 0; m < modes.size(); ++m) {
-      const double med = median(seconds[m]);
-      const auto [lo, hi] =
-          std::minmax_element(seconds[m].begin(), seconds[m].end());
+      const RepTimes t = Summarize(seconds[m]);
+      const double med = t.median;
       const std::string mode = modes[m] == 0 ? "in-process" : "cluster";
       table.AddRow({mode, std::to_string(modes[m]), FormatDouble(med, 3),
-                    FormatDouble(*lo, 3), FormatDouble(*hi, 3),
+                    FormatDouble(t.min, 3), FormatDouble(t.max, 3),
                     FormatDouble(pushes / med / 1000.0, 1),
                     std::to_string(baseline_pairs),
                     FormatDouble(med / baseline_seconds, 2) + "x"});
@@ -304,8 +354,8 @@ int Run(int argc, char** argv) {
                             .Set("mode", mode)
                             .Set("workers", static_cast<uint64_t>(modes[m]))
                             .Set("seconds", med)
-                            .Set("seconds_min", *lo)
-                            .Set("seconds_max", *hi)
+                            .Set("seconds_min", t.min)
+                            .Set("seconds_max", t.max)
                             .Set("kvec_per_s", pushes / med / 1000.0)
                             .Set("pairs", baseline_pairs)
                             .Set("overhead_vs_inproc", med / baseline_seconds));
@@ -315,7 +365,7 @@ int Run(int argc, char** argv) {
               << " each) through a ClusterClient; in-process vs a forked "
                  "K-worker fleet over Unix sockets (pairs must match on "
                  "every row; median, min and max of "
-              << kClusterReps << " interleaved reps)\n";
+              << kReps << " interleaved reps)\n";
     table.Print(std::cout);
     if (!cluster_json_out.empty()) {
       JsonValue cluster_doc = JsonValue::Object();
@@ -328,7 +378,7 @@ int Run(int argc, char** argv) {
           .Set("hardware_threads",
                static_cast<uint64_t>(std::thread::hardware_concurrency()))
           .Set("compiler", kCompiler)
-          .Set("reps", static_cast<uint64_t>(kClusterReps))
+          .Set("reps", static_cast<uint64_t>(kReps))
           .Set("cluster", std::move(cluster_rows));
       const Status status = WriteJsonFile(cluster_doc, cluster_json_out);
       if (!status.ok()) {
@@ -359,8 +409,9 @@ int Run(int argc, char** argv) {
             << " (speedup vs num_threads=1, bit-identical output at every "
                "thread count; hardware threads available: "
             << std::thread::hardware_concurrency() << ")\n";
-    PrintThreadSweep(stream, theta, lambda, mb_thread_list, args.tsv,
-                     caption.str());
+    doc.Set("mb_thread_sweep",
+            PrintThreadSweep(stream, theta, lambda, mb_thread_list, args.tsv,
+                             caption.str()));
   }
 
   // ---- Multi-tenant sweep: K concurrent JoinService sessions vs 1 ----
@@ -421,131 +472,6 @@ int Run(int argc, char** argv) {
               << stream.size() << ") from its own thread; per-session kvec/s "
               << "vs K shows the multi-tenant overhead\n";
     table.Print(std::cout);
-  }
-
-  // ---- Async ingestion sweep: inline vs async with K producers ----
-  // K producer threads feed ONE engine. Inline mode serializes them on a
-  // mutex around Push (latency = lock wait + the full scan); async mode
-  // serializes them on the lock-free ring (latency = queue time + the
-  // scan on the pump thread). Same items, same pair count — the columns
-  // isolate what the ingress layer buys: sustained producer-side
-  // throughput and the submit-to-apply latency distribution under
-  // contention. All items share one timestamp so every interleaving is a
-  // valid arrival order.
-  {
-    using SteadyClock = std::chrono::steady_clock;
-    const std::vector<double> producer_list =
-        flags.GetDoubleList("producer-list", {1, 2, 4, 8});
-    const size_t queue_capacity = static_cast<size_t>(
-        flags.GetInt("queue-capacity", 4096));
-    const size_t epoch_items =
-        static_cast<size_t>(flags.GetInt("epoch-items", 256));
-    Stream stream = GenerateProfile(
-        DatasetProfile::kRcv1, flags.GetDouble("ingest-scale", args.scale),
-        args.seed);
-    for (StreamItem& item : stream) item.ts = 0.0;
-    const size_t n = stream.size();
-
-    TablePrinter table({"mode", "producers", "time(s)", "kvec/s", "p50(ms)",
-                        "p95(ms)", "p99(ms)", "pairs", "blocked", "epochs"},
-                       args.tsv);
-    JsonValue sweep_rows = JsonValue::Array();
-    for (double producers_d : producer_list) {
-      const size_t k = producers_d < 1 ? 1 : static_cast<size_t>(producers_d);
-      for (const bool async : {false, true}) {
-        EngineConfig cfg;
-        cfg.framework = Framework::kStreaming;
-        cfg.index = IndexScheme::kL2;
-        cfg.theta = theta;
-        cfg.lambda = lambda;
-        std::vector<SteadyClock::time_point> submitted(n), applied(n);
-        if (async) {
-          cfg.ingest.mode = IngestMode::kAsync;
-          cfg.ingest.queue_capacity = queue_capacity;
-          cfg.ingest.epoch_max_items = epoch_items;
-          cfg.ingest.submit = SubmitPolicy::kBlock;
-          cfg.ingest.on_complete = [&applied](uint64_t ticket,
-                                              const Status&) {
-            applied[ticket] = SteadyClock::now();
-          };
-        }
-        CountingSink sink;
-        auto engine = *SssjEngine::Make(cfg, &sink);
-        std::mutex push_mu;  // inline mode: producers serialize here
-        std::atomic<size_t> next_index{0};  // ticket surrogate for inline
-
-        Timer timer;
-        std::vector<std::thread> feeders;
-        for (size_t p = 0; p < k; ++p) {
-          feeders.emplace_back([&, p] {
-            const size_t begin = p * n / k, end = (p + 1) * n / k;
-            for (size_t i = begin; i < end; ++i) {
-              const SteadyClock::time_point t0 = SteadyClock::now();
-              if (async) {
-                uint64_t ticket = 0;
-                engine->AsyncPush(stream[i].ts, stream[i].vec, &ticket);
-                submitted[ticket] = t0;
-              } else {
-                std::lock_guard<std::mutex> lock(push_mu);
-                engine->Push(stream[i].ts, stream[i].vec);
-                const size_t slot = next_index.fetch_add(1);
-                submitted[slot] = t0;
-                applied[slot] = SteadyClock::now();
-              }
-            }
-          });
-        }
-        for (std::thread& t : feeders) t.join();
-        if (async) engine->Drain();
-        const double seconds = timer.ElapsedSeconds();
-
-        std::vector<double> latencies_ms;
-        latencies_ms.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(applied[i] -
-                                                        submitted[i])
-                  .count());
-        }
-        std::sort(latencies_ms.begin(), latencies_ms.end());
-        const double p50 = Percentile(latencies_ms, 0.50);
-        const double p95 = Percentile(latencies_ms, 0.95);
-        const double p99 = Percentile(latencies_ms, 0.99);
-        const IngestStats ingest = engine->ingest_stats();
-        const char* mode = async ? "async" : "inline";
-        table.AddRow({mode, std::to_string(k), FormatDouble(seconds, 3),
-                      FormatDouble(n / seconds / 1000.0, 1),
-                      FormatDouble(p50, 3), FormatDouble(p95, 3),
-                      FormatDouble(p99, 3), std::to_string(sink.count()),
-                      std::to_string(ingest.blocked_submits),
-                      std::to_string(ingest.epochs_closed)});
-        sweep_rows.Push(JsonValue::Object()
-                            .Set("mode", mode)
-                            .Set("producers", static_cast<uint64_t>(k))
-                            .Set("seconds", seconds)
-                            .Set("kvec_per_s", n / seconds / 1000.0)
-                            .Set("latency_p50_ms", p50)
-                            .Set("latency_p95_ms", p95)
-                            .Set("latency_p99_ms", p99)
-                            .Set("pairs", sink.count())
-                            .Set("blocked_submits", ingest.blocked_submits)
-                            .Set("epochs_closed", ingest.epochs_closed)
-                            .Set("max_queue_depth", ingest.max_queue_depth));
-      }
-    }
-    std::cout << "\nAsync ingestion: K producers feeding one STR-L2 engine "
-                 "(n="
-              << n << ", queue=" << queue_capacity << ", epoch="
-              << epoch_items
-              << " items); inline serializes producers on a mutex, async on "
-                 "the lock-free ring; latency is submit-to-apply\n";
-    table.Print(std::cout);
-    doc.Set("ingest_sweep",
-            JsonValue::Object()
-                .Set("n", static_cast<uint64_t>(n))
-                .Set("queue_capacity", static_cast<uint64_t>(queue_capacity))
-                .Set("epoch_max_items", static_cast<uint64_t>(epoch_items))
-                .Set("rows", std::move(sweep_rows)));
   }
 
   write_doc(std::move(scaling_rows));

@@ -45,21 +45,6 @@
 //   --memory             also print the live footprint after the run
 //                        (STR: posting columns + residual store; MB:
 //                        buffered windows + peak window-index bytes)
-//   --async              ingest through the async pipeline: the reader
-//                        thread enqueues into a bounded lock-free queue
-//                        and a pump thread drains epochs through the
-//                        same sequential push path — output is
-//                        bit-identical to the inline run; ingest-layer
-//                        counters (epochs, queue depth high-water,
-//                        backpressure) print on stderr
-//   --queue-capacity=<n> async queue bound in items (default 4096;
-//                        rounded up to a power of two)
-//   --epoch-items=<n>    close an epoch after n queued items
-//                        (default 256)
-//   --submit=try|block|timeout
-//                        what AsyncPush does at the high-water mark
-//                        (default block; try surfaces
-//                        RESOURCE_EXHAUSTED rejects on stderr)
 //   --tiered             enable tiered posting storage: cold posting
 //                        prefixes freeze into immutable blocks
 //                        (compressed for rarely scanned lists, raw
@@ -90,7 +75,7 @@
 //                        with RESOURCE_EXHAUSTED (reported on stderr)
 //                        instead of growing without bound; pair output
 //                        for accepted items is identical to the
-//                        unbudgeted run. Incompatible with --async.
+//                        unbudgeted run.
 //
 // Unknown flags are an error (exit 2): a typo like --thta=0.9 must not
 // silently run with the default.
@@ -98,7 +83,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -113,9 +97,9 @@ int main(int argc, char** argv) {
   sssj::Flags flags(argc, argv);
   flags.RejectUnknown(
       {"input", "format", "framework", "index", "theta", "lambda", "kernel",
-       "threads", "output", "quiet", "min-dot", "top-k", "memory", "async",
-       "queue-capacity", "epoch-items", "submit", "tiered", "value-tier",
-       "memory-budget", "checkpoint-in", "checkpoint-out", "duel-epoch"});
+       "threads", "output", "quiet", "min-dot", "top-k", "memory", "tiered",
+       "value-tier", "memory-budget", "checkpoint-in", "checkpoint-out",
+       "duel-epoch"});
   const std::string input = flags.GetString("input", "");
   if (input.empty()) {
     std::fprintf(stderr, "--input is required (see header of this file)\n");
@@ -159,33 +143,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", v.ToString().c_str());
     };
   }
-  const bool async = flags.GetBool("async", false);
-  if (async) {
-    config.ingest.mode = sssj::IngestMode::kAsync;
-    config.ingest.queue_capacity =
-        static_cast<size_t>(flags.GetInt("queue-capacity", 4096));
-    config.ingest.epoch_max_items =
-        static_cast<size_t>(flags.GetInt("epoch-items", 256));
-    const std::string submit = flags.GetString("submit", "block");
-    if (submit == "try") {
-      config.ingest.submit = sssj::SubmitPolicy::kTry;
-    } else if (submit == "block") {
-      config.ingest.submit = sssj::SubmitPolicy::kBlock;
-    } else if (submit == "timeout") {
-      config.ingest.submit = sssj::SubmitPolicy::kTimeout;
-    } else {
-      std::fprintf(stderr,
-                   "invalid value for --submit: '%s' (expected try, block, "
-                   "or timeout)\n",
-                   submit.c_str());
-      return 2;
-    }
-  } else if (flags.Has("queue-capacity") || flags.Has("epoch-items") ||
-             flags.Has("submit")) {
-    std::fprintf(stderr,
-                 "--queue-capacity/--epoch-items/--submit require --async\n");
-    return 2;
-  }
   if (flags.Has("kernel")) {
     // GetString's default would mask a bare `--kernel` (no value) as the
     // scalar default — the silent-fallback class this flag guards against.
@@ -223,10 +180,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const size_t memory_budget = static_cast<size_t>(budget_raw);
-  if (memory_budget > 0 && async) {
-    std::fprintf(stderr, "--memory-budget is incompatible with --async\n");
-    return 2;
-  }
   // Same silent-fallback guard as --kernel: a bare `--checkpoint-in` must
   // not quietly run without restoring anything.
   const std::string checkpoint_in = flags.GetString("checkpoint-in", "");
@@ -304,23 +257,6 @@ int main(int argc, char** argv) {
       [min_dot](const sssj::ResultPair& p) { return p.dot >= min_dot; }, &tee);
   if (min_dot > 0.0) sink = &filter;
 
-  // Async runs surface per-item rejects through the completion callback
-  // (tickets are dense submit order, so a ticket IS the item index here).
-  std::mutex rejects_mu;
-  std::vector<std::pair<uint64_t, sssj::Status>> async_rejects;
-  size_t async_accepted = 0;
-  if (async) {
-    config.ingest.on_complete = [&](uint64_t ticket,
-                                    const sssj::Status& status) {
-      std::lock_guard<std::mutex> lock(rejects_mu);
-      if (status.ok()) {
-        ++async_accepted;
-      } else {
-        async_rejects.emplace_back(ticket, status);
-      }
-    };
-  }
-
   // Budgeted runs go through a single-session JoinService so the
   // service-wide budget gate applies; unbudgeted runs keep the direct
   // engine (identical push path, no session lock).
@@ -369,25 +305,7 @@ int main(int argc, char** argv) {
   sssj::Timer timer;
   size_t accepted = 0;
   uint64_t budget_refused = 0;
-  if (async) {
-    for (const sssj::StreamItem& item : stream) {
-      const sssj::Status status = engine->AsyncPush(item.ts, item.vec);
-      if (!status.ok()) {
-        // Submit-side failure (backpressure under --submit=try/timeout);
-        // distinct from the per-item validation rejects below.
-        std::fprintf(stderr, "submit rejected: %s\n",
-                     status.ToString().c_str());
-      }
-    }
-    engine->Drain();
-    engine->Flush();
-    accepted = async_accepted;
-    for (const auto& [ticket, status] : async_rejects) {
-      std::fprintf(stderr, "item %llu rejected: %s\n",
-                   static_cast<unsigned long long>(ticket),
-                   status.ToString().c_str());
-    }
-  } else if (memory_budget > 0) {
+  if (memory_budget > 0) {
     // Per-item pushes so each refusal is attributable: a budget refusal
     // (RESOURCE_EXHAUSTED) is backpressure, not a bad item.
     size_t index = 0;
@@ -450,10 +368,6 @@ int main(int argc, char** argv) {
                  sssj::ToString(engine->active_framework()),
                  sssj::ToString(engine->active_scheme()),
                  static_cast<unsigned long long>(engine->scheme_switches()));
-  }
-  if (async) {
-    std::fprintf(stderr, "ingest: %s\n",
-                 engine->ingest_stats().ToString().c_str());
   }
   if (min_dot > 0.0) {
     std::fprintf(stderr,

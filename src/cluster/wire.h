@@ -187,7 +187,7 @@ class WireReader {
 // ---- payload structs ----
 
 // The deterministic engine-config subset that travels with a session.
-// Execution knobs (threads, kernels, tiering, ingestion) stay host-local:
+// Execution knobs (threads, kernels, tiering) stay host-local:
 // the worker resolves them, so two placements of one session always
 // produce bit-identical output. enable_migration is implied — every
 // cluster session must speak the portable checkpoint format.

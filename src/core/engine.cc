@@ -204,8 +204,6 @@ SssjEngine::SssjEngine(const EngineConfig& config, const DecayParams& params,
                        ResultSink* sink)
     : config_(config), params_(params), sink_(sink) {}
 
-SssjEngine::~SssjEngine() = default;
-
 StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
     const EngineConfig& config, ResultSink* sink) {
   if (!(config.theta > 0.0) || config.theta > 1.0 ||
@@ -217,36 +215,6 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
     return Status(StatusCode::kOutOfRange,
                   "lambda must be finite and >= 0; got " +
                       FormatValue(config.lambda));
-  }
-  if (config.ingest.mode == IngestMode::kAsync) {
-    const IngestOptions& ing = config.ingest;
-    if (ing.queue_capacity < 1) {
-      return Status::OutOfRange("ingest.queue_capacity must be >= 1; got 0");
-    }
-    if (ing.high_water > ing.queue_capacity) {
-      return Status::OutOfRange(
-          "ingest.high_water must be <= ingest.queue_capacity (" +
-          std::to_string(ing.queue_capacity) + "); got " +
-          std::to_string(ing.high_water));
-    }
-    if (ing.epoch_max_items < 1) {
-      return Status::OutOfRange("ingest.epoch_max_items must be >= 1; got 0");
-    }
-    if (ing.epoch_max_bytes < 1) {
-      return Status::OutOfRange("ingest.epoch_max_bytes must be >= 1; got 0");
-    }
-    if (!(ing.epoch_max_age_ms >= 0.0) ||
-        !std::isfinite(ing.epoch_max_age_ms)) {
-      return Status::OutOfRange(
-          "ingest.epoch_max_age_ms must be finite and >= 0; got " +
-          FormatValue(ing.epoch_max_age_ms));
-    }
-    if (!(ing.submit_timeout_ms >= 0.0) ||
-        !std::isfinite(ing.submit_timeout_ms)) {
-      return Status::OutOfRange(
-          "ingest.submit_timeout_ms must be finite and >= 0; got " +
-          FormatValue(ing.submit_timeout_ms));
-    }
   }
   if (config.tiered.enabled) {
     const TieredStorageOptions& t = config.tiered;
@@ -339,22 +307,10 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
         "sequential path");
   }
 
-  if (config.ingest.mode == IngestMode::kAsync) {
-    engine->ingest_queue_ = std::make_unique<IngestQueue>(config.ingest);
-    if (!config.ingest.external_pump) {
-      engine->ingest_pump_ = std::make_unique<IngestPump>();
-      SssjEngine* eng = engine.get();
-      engine->ingest_pump_->Register(
-          engine->ingest_queue_.get(),
-          [eng](Stream&& epoch, uint64_t first_ticket) {
-            eng->ApplyEpoch(std::move(epoch), first_ticket);
-          });
-    }
-  }
   return engine;
 }
 
-Status SssjEngine::PushImpl(Timestamp ts, SparseVector vec, ResultSink* sink) {
+Status SssjEngine::PushImpl(Timestamp ts, SparseVector vec) {
   if (!std::isfinite(ts)) {
     return Status::InvalidArgument("timestamp must be finite; got " +
                                    FormatValue(ts));
@@ -394,9 +350,9 @@ Status SssjEngine::PushImpl(Timestamp ts, SparseVector vec, ResultSink* sink) {
   item.ts = ts;
   item.vec = std::move(vec);
 
-  WatermarkFilterSink filtered(OrDiscard(sink), watermark_);
+  WatermarkFilterSink filtered(OrDiscard(sink_), watermark_);
   ResultSink* out =
-      watermark_ > 0 ? static_cast<ResultSink*>(&filtered) : OrDiscard(sink);
+      watermark_ > 0 ? static_cast<ResultSink*>(&filtered) : OrDiscard(sink_);
   if (!core_->Push(item, out)) {
     return Status::Internal("join rejected a validated item");
   }
@@ -421,17 +377,17 @@ void SssjEngine::ObserveForDuel(const StreamItem& item) {
 }
 
 Status SssjEngine::Push(Timestamp ts, SparseVector vec) {
-  return PushImpl(ts, std::move(vec), sink_);
+  return PushImpl(ts, std::move(vec));
 }
 
 Status SssjEngine::Push(const StreamItem& item) {
-  return PushImpl(item.ts, item.vec, sink_);
+  return PushImpl(item.ts, item.vec);
 }
 
 BatchPushResult SssjEngine::PushBatch(const Stream& batch) {
   BatchPushResult result;
   for (size_t i = 0; i < batch.size(); ++i) {
-    Status status = PushImpl(batch[i].ts, batch[i].vec, sink_);
+    Status status = PushImpl(batch[i].ts, batch[i].vec);
     if (status.ok()) {
       ++result.accepted;
     } else {
@@ -441,42 +397,10 @@ BatchPushResult SssjEngine::PushBatch(const Stream& batch) {
   return result;
 }
 
-void SssjEngine::FlushImpl(ResultSink* sink) {
-  WatermarkFilterSink filtered(OrDiscard(sink), watermark_);
+void SssjEngine::Flush() {
+  WatermarkFilterSink filtered(OrDiscard(sink_), watermark_);
   core_->Flush(watermark_ > 0 ? static_cast<ResultSink*>(&filtered)
-                              : OrDiscard(sink));
-}
-
-void SssjEngine::Flush() { FlushImpl(sink_); }
-
-Status SssjEngine::AsyncPush(Timestamp ts, SparseVector vec,
-                             uint64_t* ticket) {
-  if (ingest_queue_ == nullptr) {
-    return Status::FailedPrecondition(
-        "AsyncPush requires EngineConfig::ingest.mode == IngestMode::kAsync; "
-        "this engine ingests inline");
-  }
-  return ingest_queue_->Submit(ts, std::move(vec), ticket);
-}
-
-Status SssjEngine::Drain() {
-  if (ingest_queue_ == nullptr) return Status::Ok();  // inline: nothing queued
-  return ingest_queue_->Drain();
-}
-
-IngestStats SssjEngine::ingest_stats() const {
-  if (ingest_queue_ == nullptr) return IngestStats{};
-  return ingest_queue_->stats();
-}
-
-void SssjEngine::ApplyEpoch(Stream&& epoch, uint64_t first_ticket) {
-  const auto& on_complete =
-      ingest_queue_ != nullptr ? ingest_queue_->on_complete()
-                               : config_.ingest.on_complete;
-  for (size_t i = 0; i < epoch.size(); ++i) {
-    Status status = PushImpl(epoch[i].ts, std::move(epoch[i].vec), sink_);
-    if (on_complete) on_complete(first_ticket + i, status);
-  }
+                              : OrDiscard(sink_));
 }
 
 const RunStats& SssjEngine::stats() const {

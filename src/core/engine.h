@@ -14,14 +14,6 @@
 //   (*engine)->PushBatch(items);         // or hand over whole batches
 //   (*engine)->Flush();                  // at end of stream (MB drains)
 //
-// With cfg.ingest.mode = IngestMode::kAsync the engine additionally
-// accepts AsyncPush(ts, vec): producers enqueue into a bounded lock-free
-// ring and a background pump drains epochs through the same sequential
-// push path, with explicit backpressure (kResourceExhausted) instead of
-// unbounded queueing — see core/ingest_pump.h. Drain() barriers on
-// everything submitted so far; output is bit-identical to inline Push in
-// arrival (ticket) order.
-//
 // Every fallible call returns sssj::Status (core/status.h); Push failures
 // carry the per-item reject reason (empty after cleaning, non-
 // normalizable, timestamp regression). Multi-tenant serving — many named
@@ -43,7 +35,6 @@
 #include <vector>
 
 #include "core/auto_tuner.h"
-#include "core/ingest_pump.h"
 #include "core/join_core.h"
 #include "core/result.h"
 #include "core/similarity.h"
@@ -113,13 +104,6 @@ struct EngineConfig {
   // approximates the exact engine. Applies to the STR schemes; MB windows
   // are short-lived and ignore it.
   TieredStorageOptions tiered;
-  // Ingestion mode and queue/epoch/backpressure tuning (core/ingest_pump.h).
-  // The default (IngestMode::kInline) keeps Push synchronous and makes
-  // AsyncPush a kFailedPrecondition. With IngestMode::kAsync the engine
-  // owns a bounded ingress queue and (unless ingest.external_pump) a
-  // private pump thread; AsyncPush enqueues, Drain barriers, and results
-  // are bit-identical to inline Push fed the same arrival order.
-  IngestOptions ingest;
   // Adaptive-runtime knobs (core/auto_tuner.h). adaptive.enable_migration
   // unlocks SwitchScheme and the portable checkpoint format for every
   // framework×scheme; index == IndexScheme::kAuto additionally runs the
@@ -158,17 +142,12 @@ class SssjEngine {
   // may be null to discard results, rebindable via BindSink) receiving
   // every discovered pair. Failures:
   //   kOutOfRange      theta outside (0, 1], lambda negative/non-finite,
-  //                    or an ingest option outside its domain (zero queue
-  //                    capacity / epoch watermark, bad age or timeout)
+  //                    or a tiered/adaptive option outside its domain
   //   kUnimplemented   the STR-AP combination (omitted by the paper as
   //                    impractical — see §5.2 — and not implemented here)
   static StatusOr<std::unique_ptr<SssjEngine>> Make(
       const EngineConfig& config, ResultSink* sink = nullptr);
 
-  // Stops the private ingest pump (if any) first; items still queued and
-  // not yet applied are dropped — call Drain() before destruction when
-  // every submitted item must be processed.
-  ~SssjEngine();
   SssjEngine(const SssjEngine&) = delete;
   SssjEngine& operator=(const SssjEngine&) = delete;
 
@@ -198,39 +177,6 @@ class SssjEngine {
   // Drains any buffered state (MB windows) into the bound sink. STR emits
   // eagerly, so this is a no-op for it.
   void Flush();
-
-  // ---- async ingestion (EngineConfig::ingest.mode == kAsync only) ----
-
-  // Enqueues one item without running the scan; the pump applies it later
-  // through the exact sequential push path, so the emitted pairs are
-  // bit-identical to calling Push in the same arrival order. On success
-  // stores the item's dense arrival-order ticket into *ticket (when
-  // given); per-item validation outcomes arrive via
-  // ingest.on_complete(ticket, status). Failures here are submit-side
-  // only:
-  //   kFailedPrecondition  the engine was built with IngestMode::kInline
-  //   kResourceExhausted   the queue is at its high-water mark (kTry, or
-  //                        kTimeout after the deadline)
-  // Safe from any number of producer threads concurrently.
-  Status AsyncPush(Timestamp ts, SparseVector vec, uint64_t* ticket = nullptr);
-
-  // Blocks until every item submitted before this call has been applied.
-  // No-op (OK) for inline engines. Does not Flush(): MB windows may still
-  // be buffering afterwards.
-  Status Drain();
-
-  // Ingress-layer counters (submits, backpressure rejects, epochs, queue
-  // depth). Zero-valued for inline engines.
-  IngestStats ingest_stats() const;
-
-  // The engine's ingress queue (null for inline engines). JoinService uses
-  // this to register sessions with its shared pump.
-  IngestQueue* ingest_queue() const { return ingest_queue_.get(); }
-
-  // Pump side: applies one popped epoch through the sequential push path,
-  // invoking ingest.on_complete per item. Called by the pump thread (or by
-  // the owner's apply wrapper); never call it from producer threads.
-  void ApplyEpoch(Stream&& epoch, uint64_t first_ticket);
 
   // Id that will be assigned to the next accepted item.
   VectorId next_id() const { return next_id_; }
@@ -328,8 +274,7 @@ class SssjEngine {
   SssjEngine(const EngineConfig& config, const DecayParams& params,
              ResultSink* sink);
 
-  Status PushImpl(Timestamp ts, SparseVector vec, ResultSink* sink);
-  void FlushImpl(ResultSink* sink);
+  Status PushImpl(Timestamp ts, SparseVector vec);
 
   // True when this engine may use the portable checkpoint format and
   // SwitchScheme: adaptive.enable_migration or index == kAuto.
@@ -367,11 +312,6 @@ class SssjEngine {
   mutable RunStats combined_stats_;
   std::unique_ptr<AutoTuner> tuner_;  // non-null iff config_.index == kAuto
   std::vector<std::string> config_notes_;
-  // Async ingress. Declaration order matters: the pump is declared last so
-  // its destructor (which joins the pump thread) runs before the queue and
-  // the joins it drains into are torn down.
-  std::unique_ptr<IngestQueue> ingest_queue_;
-  std::unique_ptr<IngestPump> ingest_pump_;
 };
 
 }  // namespace sssj

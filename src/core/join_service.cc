@@ -151,7 +151,6 @@ Status JoinService::UnknownSession() {
 }
 
 bool JoinService::Evictable(const Session& session) {
-  if (session.async_engine != nullptr) return false;
   // Migration-enabled engines save/load the portable checkpoint format,
   // which works for every framework×scheme and thread count.
   if (session.config.adaptive.enable_migration ||
@@ -255,8 +254,7 @@ Status JoinService::EnforceBudget(Session* current) {
       // i.e. not dormant — so skipping it is also the right policy call.
       if (!victim->mu.TryLock()) continue;
       MutexLock vl(victim->mu, std::adopt_lock);
-      if (victim->closed.load(std::memory_order_acquire) ||
-          victim->evicted || !Evictable(*victim)) {
+      if (victim->closed || victim->evicted || !Evictable(*victim)) {
         continue;
       }
       if (EvictLocked(victim.get()).ok()) total = total_now();
@@ -286,10 +284,6 @@ StatusOr<JoinService::SessionHandle> JoinService::CreateSession(
   if (pool_ != nullptr && config.num_threads > 1) {
     config.pool = pool_;
   }
-  // Async sessions share the service's single pump thread instead of each
-  // spawning their own.
-  const bool async = config.ingest.mode == IngestMode::kAsync;
-  if (async) config.ingest.external_pump = true;
   ResultSink* sink =
       options.sink != nullptr ? options.sink : options.owned_sink.get();
   StatusOr<std::unique_ptr<SssjEngine>> engine = SssjEngine::Make(config, sink);
@@ -301,53 +295,21 @@ StatusOr<JoinService::SessionHandle> JoinService::CreateSession(
     // No other thread can see the session until the registry insert below,
     // so initializing its mu-guarded fields without the lock would be
     // benign — but the uncontended lock costs nothing and keeps the
-    // annotations assumption-free. Scoped tightly: it must not be held
-    // across Register below, whose apply callback takes the same lock.
+    // annotations assumption-free.
     MutexLock init_lock(session->mu);
     session->engine = *std::move(engine);
-    if (async) session->async_engine = session->engine.get();
     session->mem_bytes.store(session->engine->MemoryBytes(),
                              std::memory_order_relaxed);
   }
   session->owned_sink = std::move(options.owned_sink);
-  session->config = config;  // resolved (pool/external_pump applied)
+  session->config = config;  // resolved (pool applied)
   session->bound_sink = sink;
   session->last_active.store(
       activity_clock_.fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
 
-  if (async) {
-    {
-      MutexLock lock(mu_);
-      if (by_name_.count(options.name) != 0) {
-        return Status::AlreadyExists("a session named '" + options.name +
-                                     "' already exists");
-      }
-      if (ingest_pump_ == nullptr) {
-        ingest_pump_ = std::make_unique<IngestPump>();
-      }
-    }
-    // Register before the session enters the registry, so every session a
-    // racing CloseSession can find already carries its registration. The
-    // apply callback runs on the pump thread under the session lock — the
-    // same serialization every other per-session call uses — so an epoch
-    // application and, say, a Flush can never interleave. The captured
-    // shared_ptr keeps the session alive even mid-close.
-    session->pump_registration = ingest_pump_->Register(
-        session->async_engine->ingest_queue(),
-        [session](Stream&& epoch, uint64_t first_ticket) {
-          MutexLock lock(session->mu);
-          session->engine->ApplyEpoch(std::move(epoch), first_ticket);
-        });
-  }
-
   MutexLock lock(mu_);
   if (by_name_.count(options.name) != 0) {
-    // Lost a naming race between the pre-check and here; undo the pump
-    // registration (the pump holds the session alive otherwise).
-    if (session->pump_registration != 0) {
-      ingest_pump_->Unregister(session->pump_registration);
-    }
     return Status::AlreadyExists("a session named '" + options.name +
                                  "' already exists");
   }
@@ -388,19 +350,9 @@ Status JoinService::CloseSession(SessionHandle handle) {
   }
   // The registry no longer hands the session out, but a racing call that
   // looked it up before the erase may still hold it; `closed` makes that
-  // race a clean kNotFound instead of a push into a flushed engine. Set it
-  // before draining so late AsyncPush racers are refused, not stranded.
-  session->closed.store(true, std::memory_order_release);
-  if (session->pump_registration != 0) {
-    // Apply everything already submitted (no locks held here — the pump
-    // needs the session lock to apply), then detach from the pump so it
-    // never touches this session again. pump_registration stays set: it is
-    // immutable by contract (AsyncPush reads it lock-free), and the
-    // registry erase above guarantees this teardown runs at most once.
-    session->async_engine->Drain();
-    ingest_pump_->Unregister(session->pump_registration);
-  }
+  // race a clean kNotFound instead of a push into a flushed engine.
   MutexLock lock(session->mu);
+  session->closed = true;
   // An evicted session reloads before its final flush: migration-enabled
   // MB sessions can have pairs pending in the spilled window state, and
   // flushing the empty stand-in engine would silently drop them. (For
@@ -421,15 +373,8 @@ Status JoinService::AbandonSession(SessionHandle handle) {
     sessions_.erase(it);
     by_name_.erase(session->name);
   }
-  session->closed.store(true, std::memory_order_release);
-  if (session->pump_registration != 0) {
-    // Same teardown order as CloseSession: apply what was already
-    // submitted, then detach. Skipping the drain would risk the pump
-    // applying an epoch concurrently with our teardown below.
-    session->async_engine->Drain();
-    ingest_pump_->Unregister(session->pump_registration);
-  }
   MutexLock lock(session->mu);
+  session->closed = true;
   if (session->evicted) {
     // The caller has its own copy of the state (that is the contract of
     // Abandon); the spilled one is garbage, not something to restore.
@@ -458,46 +403,6 @@ Status JoinService::Push(SessionHandle handle, Timestamp ts, SparseVector vec) {
   return result;
 }
 
-Status JoinService::AsyncPush(SessionHandle handle, Timestamp ts,
-                              SparseVector vec, uint64_t* ticket) {
-  std::shared_ptr<Session> session = Lookup(handle);
-  if (session == nullptr) return UnknownSession();
-  // Inline sessions take the lock (their `engine` pointer can be swapped
-  // by eviction; an inline AsyncPush is a kFailedPrecondition anyway).
-  // Async sessions are never evicted, so their engine pointer is stable
-  // and the submit path stays lock-free: it only touches the session's
-  // ring (and `closed` is atomic). Taking the lock there would serialize
-  // producers behind the pump's epoch applications — the exact stall
-  // async mode exists to remove.
-  if (session->async_engine == nullptr) {
-    MutexLock lock(session->mu);
-    if (session->closed) return UnknownSession();
-    return session->engine->AsyncPush(ts, std::move(vec), ticket);
-  }
-  if (session->closed.load(std::memory_order_acquire)) {
-    return UnknownSession();
-  }
-  return session->async_engine->AsyncPush(ts, std::move(vec), ticket);
-}
-
-Status JoinService::Drain(SessionHandle handle) {
-  std::shared_ptr<Session> session = Lookup(handle);
-  if (session == nullptr) return UnknownSession();
-  // Inline sessions: locked (evictable engine pointer), and Drain is an
-  // immediate no-op for them. Async sessions stay lock-free — the pump
-  // needs the session lock to apply epochs, so holding it here would
-  // deadlock the very work Drain waits for.
-  if (session->async_engine == nullptr) {
-    MutexLock lock(session->mu);
-    if (session->closed) return UnknownSession();
-    return session->engine->Drain();
-  }
-  if (session->closed.load(std::memory_order_acquire)) {
-    return UnknownSession();
-  }
-  return session->async_engine->Drain();
-}
-
 StatusOr<BatchPushResult> JoinService::PushBatch(SessionHandle handle,
                                                  const Stream& batch) {
   std::shared_ptr<Session> session = Lookup(handle);
@@ -518,7 +423,13 @@ Status JoinService::Flush(SessionHandle handle) {
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
+  // Flushing the empty stand-in of an evicted session would drop the
+  // pairs pending in its spilled MB windows; bring it back first.
+  Status resident = EnsureResident(session.get());
+  if (!resident.ok()) return resident;
   session->engine->Flush();
+  // MB's flush closes both windows, so the footprint changes here too.
+  NoteActivity(session.get());
   return Status::Ok();
 }
 
@@ -602,24 +513,6 @@ StatusOr<RunStats> JoinService::SessionStats(SessionHandle handle) const {
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
   return session->engine->stats();
-}
-
-StatusOr<IngestStats> JoinService::SessionIngestStats(
-    SessionHandle handle) const {
-  std::shared_ptr<Session> session = Lookup(handle);
-  if (session == nullptr) return UnknownSession();
-  // Inline sessions: locked, because eviction can swap the engine
-  // pointer. Async sessions (never evicted): counter snapshot over
-  // atomics, no session lock needed.
-  if (session->async_engine == nullptr) {
-    MutexLock lock(session->mu);
-    if (session->closed) return UnknownSession();
-    return session->engine->ingest_stats();
-  }
-  if (session->closed.load(std::memory_order_acquire)) {
-    return UnknownSession();
-  }
-  return session->async_engine->ingest_stats();
 }
 
 StatusOr<size_t> JoinService::SessionMemoryBytes(SessionHandle handle) const {
@@ -715,15 +608,11 @@ ServiceStats JoinService::Stats() const {
     entry.name = session->name;
     entry.vectors_processed = session->engine->stats().vectors_processed;
     entry.pairs_emitted = session->engine->stats().pairs_emitted;
-    entry.memory_bytes = session->engine->MemoryBytes();
+    entry.memory_bytes = session->mem_bytes.load(std::memory_order_relaxed);
     entry.evicted = session->evicted;
-    entry.ingest = session->engine->ingest_stats();
     stats.vectors_processed += entry.vectors_processed;
     stats.pairs_emitted += entry.pairs_emitted;
     stats.memory_bytes += entry.memory_bytes;
-    stats.queue_depth += entry.ingest.queue_depth;
-    stats.epochs_closed += entry.ingest.epochs_closed;
-    stats.backpressure_rejections += entry.ingest.rejected_backpressure;
     stats.sessions.push_back(std::move(entry));
   }
   stats.num_sessions = stats.sessions.size();

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/ingest_pump.h"
 #include "core/status.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -65,10 +64,9 @@ struct JoinServiceOptions {
   // an evicted session reloads transparently on its next push. If no
   // evictable session remains and the total is still over budget, the
   // push is refused with kResourceExhausted — deterministic backpressure
-  // instead of an OOM kill. Only inline (non-async) STR-L2 and
-  // migration-enabled sessions are evictable (the checkpointable
-  // configurations); other sessions count toward the total but are never
-  // evicted.
+  // instead of an OOM kill. Only STR-L2 and migration-enabled sessions
+  // are evictable (the checkpointable configurations); other sessions
+  // count toward the total but are never evicted.
   size_t memory_budget_bytes = 0;
   // Directory for eviction checkpoints. Empty (default) disables
   // eviction: budget enforcement then has only the kResourceExhausted
@@ -81,11 +79,7 @@ struct ServiceStats {
   size_t num_sessions = 0;
   uint64_t vectors_processed = 0;  // sum over live sessions
   uint64_t pairs_emitted = 0;      // sum over live sessions
-  size_t memory_bytes = 0;         // sum of engine MemoryBytes()
-  // Ingress aggregates (zero when every session ingests inline).
-  uint64_t queue_depth = 0;        // items submitted but not yet applied
-  uint64_t epochs_closed = 0;      // epochs the pump drained
-  uint64_t backpressure_rejections = 0;  // kResourceExhausted submits
+  size_t memory_bytes = 0;         // sum of the sessions' shares
   // Budget enforcement counters (all zero when memory_budget_bytes == 0).
   uint64_t sessions_evicted = 0;   // evict-to-checkpoint events, lifetime
   uint64_t session_reloads = 0;    // transparent reloads, lifetime
@@ -95,9 +89,10 @@ struct ServiceStats {
     std::string name;
     uint64_t vectors_processed = 0;
     uint64_t pairs_emitted = 0;
+    // The engine's MemoryBytes() as last cached by the service: the share
+    // the memory budget totals.
     size_t memory_bytes = 0;
     bool evicted = false;  // currently spilled to its checkpoint file
-    IngestStats ingest;  // zero-valued for inline sessions
   };
   std::vector<SessionEntry> sessions;  // sorted by session name
 };
@@ -174,17 +169,6 @@ class JoinService {
       SSSJ_EXCLUDES(mu_);
   StatusOr<BatchPushResult> PushBatch(SessionHandle handle,
                                       const Stream& batch) SSSJ_EXCLUDES(mu_);
-  // Async ingestion for sessions created with ingest.mode == kAsync: the
-  // service forces ingest.external_pump and registers every async
-  // session's queue with one shared pump thread. AsyncPush never takes
-  // the session lock — producers only touch the session's lock-free ring
-  // — so submits on one session proceed while the pump is mid-epoch on
-  // another. Submits racing a concurrent CloseSession may be dropped
-  // (their on_complete never fires); quiesce producers before closing.
-  Status AsyncPush(SessionHandle handle, Timestamp ts, SparseVector vec,
-                   uint64_t* ticket = nullptr);
-  // Blocks until everything submitted so far on the session is applied.
-  Status Drain(SessionHandle handle);
   Status Flush(SessionHandle handle);
   Status SaveCheckpoint(SessionHandle handle, const std::string& path) const;
   Status LoadCheckpoint(SessionHandle handle, const std::string& path);
@@ -200,7 +184,6 @@ class JoinService {
   Status SwitchScheme(SessionHandle handle, Framework framework,
                       IndexScheme scheme) SSSJ_EXCLUDES(mu_);
   StatusOr<RunStats> SessionStats(SessionHandle handle) const;
-  StatusOr<IngestStats> SessionIngestStats(SessionHandle handle) const;
   StatusOr<size_t> SessionMemoryBytes(SessionHandle handle) const;
 
   size_t num_sessions() const SSSJ_EXCLUDES(mu_);
@@ -239,8 +222,8 @@ class JoinService {
   // RestoreSession adoption).
   static void RemoveSpill(const SpillEntry& entry);
 
-  // Aggregates per-session RunStats / MemoryBytes under the session locks
-  // — safe while other threads keep pushing.
+  // Aggregates per-session RunStats and cached byte shares under the
+  // session locks — safe while other threads keep pushing.
   ServiceStats Stats() const SSSJ_EXCLUDES(mu_);
 
  private:
@@ -251,22 +234,10 @@ class JoinService {
     // destroy in reverse order; the engine's bound sink points here).
     std::unique_ptr<ResultSink> owned_sink;
     std::unique_ptr<SssjEngine> engine SSSJ_GUARDED_BY(mu);
-    // Atomic (not mu-guarded) so AsyncPush can gate on it without taking
-    // the session lock — the lock may be held by the pump for a whole
-    // epoch, and a blocked submit must not serialize behind it.
-    std::atomic<bool> closed{false};
-    // Both set by CreateSession before the session is published and never
-    // written again (CloseSession can run its teardown at most once — the
-    // registry erase under mu_ decides the winner — so it needs no "done"
-    // flag here). AsyncPush reads them lock-free; a mutation anywhere
-    // else would be the data race the immutability rules out.
-    uint64_t pump_registration = 0;  // 0 = not an async session
-    // Non-null iff async. Async sessions are never evicted, so unlike
-    // `engine` (which eviction swaps under mu) this pointer is stable for
-    // the session's whole life — it is what the lock-free submit paths
-    // dereference, encoding "async engines don't move" as a type-level
-    // fact instead of a comment on `engine`.
-    SssjEngine* async_engine = nullptr;
+    // Set under mu by CloseSession/AbandonSession. A call that looked the
+    // session up before the registry erase sees it and returns kNotFound
+    // instead of touching a closed engine.
+    bool closed SSSJ_GUARDED_BY(mu) = false;
     // ---- budget/eviction state ----
     uint64_t id = 0;  // registry id; immutable once inserted
     EngineConfig config;             // resolved config, for engine rebuild
@@ -285,10 +256,10 @@ class JoinService {
       SSSJ_EXCLUDES(mu_);
   static Status UnknownSession();
 
-  // True for the checkpointable configurations eviction supports: inline
-  // (non-async) sessions that are either STR-L2 (native
-  // checkpoint) or migration-enabled (portable checkpoint — any
-  // framework×scheme, any thread count).
+  // True for the checkpointable configurations eviction supports:
+  // sessions that are either STR-L2 (native checkpoint) or
+  // migration-enabled (portable checkpoint — any framework×scheme, any
+  // thread count).
   static bool Evictable(const Session& session);
   // Refreshes the session's cached accounting + LRU clock.
   void NoteActivity(Session* session) const SSSJ_REQUIRES(session->mu);
@@ -322,12 +293,6 @@ class JoinService {
   std::atomic<uint64_t> evictions_{0};
   mutable std::atomic<uint64_t> reloads_{0};
   std::atomic<uint64_t> budget_rejections_{0};
-
-  // One pump thread services every async session's queue. Created lazily
-  // (under mu_) by the first async CreateSession; declared last so its
-  // destructor joins the thread before the sessions it applies into are
-  // torn down.
-  std::unique_ptr<IngestPump> ingest_pump_;
 };
 
 }  // namespace sssj

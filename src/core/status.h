@@ -19,8 +19,9 @@
 //                        (STR-AP, native checkpoint of a non-STR-L2
 //                        engine)
 //   kResourceExhausted   a bounded resource is at capacity right now
-//                        (async ingest queue at its high-water mark);
-//                        retrying after a drain can succeed
+//                        (JoinService memory budget exceeded with no
+//                        evictable session left); retrying after the
+//                        footprint shrinks can succeed
 //   kDataLoss            a file exists but is corrupt or truncated
 //   kIoError             the OS failed us mid-read/write
 //   kInternal            a bug in this library

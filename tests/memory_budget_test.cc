@@ -117,24 +117,54 @@ TEST(MemoryBudgetTest, SessionsKeepRunningUnderTightBudgetViaEviction) {
   }
 }
 
-TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
-  // Each session has a standalone mirror engine fed the same items and
-  // spilled/reloaded through the same checkpoint whenever the service
-  // evicts/reloads the session, so the mirrors' accounting walks are the
-  // true resident bytes. After every Push and PushBatch the service total
-  // (and each session's share) must equal the walks, and the budget check
-  // — made at the start of each call on the totals the previous call
-  // left — must evict on exactly the first call that finds the walked
-  // total over the budget, and on no other.
-  const EngineConfig cfg = BudgetedEngineConfig();
+// A migration-enabled MB-L2 session: evictable through the portable
+// checkpoint, and its Flush closes both windows, so the flush itself
+// changes MemoryBytes() (buffered items leave, the peak window index may
+// grow). The short horizon (tau ~ 25 time units) closes windows mid-stream.
+EngineConfig MigratableMbConfig() {
+  EngineConfig cfg;
+  cfg.framework = Framework::kMiniBatch;
+  cfg.index = IndexScheme::kL2;
+  cfg.theta = 0.6;
+  cfg.lambda = 0.02;
+  cfg.adaptive.enable_migration = true;
+  return cfg;
+}
+
+Stream Slice(const Stream& stream, size_t begin, size_t end) {
+  return Stream(stream.begin() + static_cast<ptrdiff_t>(begin),
+                stream.begin() + static_cast<ptrdiff_t>(end));
+}
+
+// Two sessions of `cfg` under a budget of 1.25x the peak bytes of one
+// session fed like session 1 below. Each session has a standalone mirror
+// engine fed the same calls and spilled/reloaded through the same
+// checkpoint whenever the service evicts/reloads the session, so the
+// mirrors' accounting walks are the true resident bytes. After every
+// Push, PushBatch and (with `flush_every` > 0, after every
+// flush_every-th item) Flush, each session's cached share in
+// ServiceStats — the figure the budget totals — must equal its walk, and
+// the budget check, made at the start of each push on the totals the
+// previous call left, must evict on exactly the first push that finds
+// the walked total over the budget, and on no other.
+void ExpectBudgetActsOnExactBytes(const EngineConfig& cfg,
+                                  const std::string& prefix,
+                                  size_t flush_every) {
+  constexpr size_t kBatch = 8;
   const Stream stream = SessionStream(77);
   size_t one_session_bytes = 0;
   {
     auto probe = *SssjEngine::Make(cfg);
-    for (const StreamItem& item : stream) {
-      ASSERT_TRUE(probe->Push(item.ts, item.vec).ok());
+    for (size_t i = 0; i < stream.size(); i += kBatch) {
+      const Stream batch =
+          Slice(stream, i, std::min(stream.size(), i + kBatch));
+      ASSERT_EQ(probe->PushBatch(batch).accepted, batch.size());
+      one_session_bytes = std::max(one_session_bytes, probe->MemoryBytes());
+      if (flush_every > 0 && (i + batch.size()) % flush_every == 0) {
+        probe->Flush();
+        one_session_bytes = std::max(one_session_bytes, probe->MemoryBytes());
+      }
     }
-    one_session_bytes = probe->MemoryBytes();
   }
   JoinServiceOptions options;
   options.memory_budget_bytes = one_session_bytes + one_session_bytes / 4;
@@ -150,7 +180,7 @@ TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
   Tenant tenants[2];
   for (int s = 0; s < 2; ++s) {
     // Names sort in index order, matching ServiceStats::sessions.
-    auto handle = service.CreateSession({"exact-" + std::to_string(s), cfg,
+    auto handle = service.CreateSession({prefix + std::to_string(s), cfg,
                                          /*sink=*/nullptr});
     ASSERT_TRUE(handle.ok()) << handle.status().message();
     tenants[s].handle = *handle;
@@ -163,31 +193,10 @@ TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
   };
 
   uint64_t evictions = 0;
-  auto push = [&](int s, const Stream& batch, bool as_batch) {
-    Tenant& tenant = tenants[s];
-    const size_t before = walked_total();
-    if (tenant.evicted) {  // the service reloads it before applying
-      tenant.mirror = *SssjEngine::Make(cfg);
-      std::istringstream blob(tenant.spilled);
-      ASSERT_TRUE(tenant.mirror->LoadCheckpoint(blob).ok());
-      tenant.evicted = false;
-    }
-    if (as_batch) {
-      auto result = service.PushBatch(tenant.handle, batch);
-      ASSERT_TRUE(result.ok()) << result.status().message();
-      ASSERT_EQ(result->accepted, batch.size());
-      ASSERT_EQ(tenant.mirror->PushBatch(batch).accepted, batch.size());
-    } else {
-      for (const StreamItem& item : batch) {
-        const Status status = service.Push(tenant.handle, item.ts, item.vec);
-        ASSERT_TRUE(status.ok()) << status.message();
-        ASSERT_TRUE(tenant.mirror->Push(item.ts, item.vec).ok());
-      }
-    }
+  // Mirrors what the service did during the last call: spills the mirror
+  // of every session it evicted, then checks every share against its walk.
+  auto check_shares = [&]() {
     const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.sessions_evicted > evictions,
-              before > options.memory_budget_bytes)
-        << "walked total before the call: " << before;
     evictions = stats.sessions_evicted;
     ASSERT_EQ(stats.sessions.size(), 2u);
     for (int v = 0; v < 2; ++v) {
@@ -204,21 +213,57 @@ TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
     }
     EXPECT_EQ(stats.memory_bytes, walked_total());
   };
+  auto reload_mirror = [&](Tenant& tenant) {
+    if (!tenant.evicted) return;  // the service reloads it before applying
+    tenant.mirror = *SssjEngine::Make(cfg);
+    std::istringstream blob(tenant.spilled);
+    ASSERT_TRUE(tenant.mirror->LoadCheckpoint(blob).ok());
+    tenant.evicted = false;
+  };
+  auto push = [&](int s, const Stream& batch, bool as_batch) {
+    Tenant& tenant = tenants[s];
+    const size_t before = walked_total();
+    reload_mirror(tenant);
+    if (as_batch) {
+      auto result = service.PushBatch(tenant.handle, batch);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      ASSERT_EQ(result->accepted, batch.size());
+      ASSERT_EQ(tenant.mirror->PushBatch(batch).accepted, batch.size());
+    } else {
+      for (const StreamItem& item : batch) {
+        const Status status = service.Push(tenant.handle, item.ts, item.vec);
+        ASSERT_TRUE(status.ok()) << status.message();
+        ASSERT_TRUE(tenant.mirror->Push(item.ts, item.vec).ok());
+      }
+    }
+    EXPECT_EQ(service.Stats().sessions_evicted > evictions,
+              before > options.memory_budget_bytes)
+        << "walked total before the call: " << before;
+    check_shares();
+  };
+  auto flush = [&](int s) {
+    Tenant& tenant = tenants[s];
+    reload_mirror(tenant);
+    ASSERT_TRUE(service.Flush(tenant.handle).ok());
+    tenant.mirror->Flush();
+    EXPECT_EQ(service.Stats().sessions_evicted, evictions)
+        << "Flush never evicts";
+    check_shares();
+  };
 
   // Session 0 grows to half a stream item by item; session 1 grows in
   // batches until session 0 no longer fits and is spilled; session 0
   // then reloads, finishes item by item and pushes session 1 out.
-  constexpr size_t kBatch = 8;
   const size_t half = stream.size() / 2;
   auto run = [&](int s, size_t begin, size_t end, bool as_batch) {
     const size_t step = as_batch ? kBatch : 1;
     for (size_t i = begin; i < end; i += step) {
-      push(s,
-           Stream(stream.begin() + static_cast<ptrdiff_t>(i),
-                  stream.begin() + static_cast<ptrdiff_t>(
-                                       std::min(end, i + step))),
-           as_batch);
+      push(s, Slice(stream, i, std::min(end, i + step)), as_batch);
       if (::testing::Test::HasFatalFailure()) return;
+      if (flush_every > 0 && std::min(end, i + step) % flush_every == 0) {
+        flush(s);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   };
   run(0, 0, half, /*as_batch=*/false);
@@ -228,6 +273,72 @@ TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
   EXPECT_GE(stats.sessions_evicted, 2u);  // both sessions were spilled
   EXPECT_GT(stats.session_reloads, 0u);
   EXPECT_EQ(stats.budget_rejections, 0u);
+}
+
+TEST(MemoryBudgetTest, BudgetActsOnExactBytesAtEveryPush) {
+  ExpectBudgetActsOnExactBytes(BudgetedEngineConfig(), "exact-",
+                               /*flush_every=*/0);
+}
+
+TEST(MemoryBudgetTest, BudgetActsOnExactBytesAcrossFlushes) {
+  ExpectBudgetActsOnExactBytes(MigratableMbConfig(), "exact-flush-",
+                               /*flush_every=*/32);
+}
+
+TEST(MemoryBudgetTest, FlushOnEvictedSessionReloadsFirst) {
+  // Session "flush-a" is evicted while pairs are pending in its MB
+  // windows. Flushing it must reload it first and emit those pairs, so
+  // its output stays the pair sequence of a never-evicted engine fed the
+  // same pushes and flushes.
+  const EngineConfig cfg = MigratableMbConfig();
+  const Stream stream = SessionStream(31);
+  const size_t half = stream.size() / 2;
+  CollectorSink mirror_sink;
+  auto mirror = *SssjEngine::Make(cfg, &mirror_sink);
+  size_t one_session_bytes = 0;
+  {
+    auto probe = *SssjEngine::Make(cfg);
+    for (const StreamItem& item : stream) {
+      ASSERT_TRUE(probe->Push(item.ts, item.vec).ok());
+    }
+    one_session_bytes = probe->MemoryBytes();
+  }
+  JoinServiceOptions options;
+  options.memory_budget_bytes = one_session_bytes * 6 / 5;
+  options.spill_dir = ::testing::TempDir();
+  JoinService service(options);
+  CollectorSink sink_a;
+  auto a = service.CreateSession({"flush-a", cfg, &sink_a});
+  auto b = service.CreateSession({"flush-b", cfg, /*sink=*/nullptr});
+  ASSERT_TRUE(a.ok()) << a.status().message();
+  ASSERT_TRUE(b.ok()) << b.status().message();
+
+  auto push_a = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(service.Push(*a, stream[i].ts, stream[i].vec).ok());
+      ASSERT_TRUE(mirror->Push(stream[i].ts, stream[i].vec).ok());
+    }
+  };
+  push_a(0, half);
+  // Growing session b forces dormant session a out.
+  for (const StreamItem& item : stream) {
+    ASSERT_TRUE(service.Push(*b, item.ts, item.vec).ok());
+  }
+  ASSERT_TRUE(service.Stats().sessions[0].evicted);
+
+  const size_t pending_before = mirror_sink.pairs().size();
+  ASSERT_TRUE(service.Flush(*a).ok());
+  mirror->Flush();
+  ASSERT_GT(mirror_sink.pairs().size(), pending_before)
+      << "the flush must have window pairs to emit";
+  ::sssj::testing::ExpectSamePairSequence(sink_a.pairs(), mirror_sink.pairs());
+
+  push_a(half, stream.size());
+  ASSERT_TRUE(service.Flush(*a).ok());
+  mirror->Flush();
+  ::sssj::testing::ExpectSamePairSequence(sink_a.pairs(), mirror_sink.pairs());
+  EXPECT_TRUE(service.CloseSession(*a).ok());
+  EXPECT_TRUE(service.CloseSession(*b).ok());
 }
 
 TEST(MemoryBudgetTest, UnmeetableBudgetReturnsResourceExhausted) {
