@@ -29,10 +29,11 @@
 //                        scalar; STR-L2/L2AP scores agree within 1e-9
 //                        relative. auto picks simd when the CPU has a
 //                        vector ISA (AVX2/SSE2/NEON).
-//   --threads=<n>        worker threads for the MB window-close query
-//                        fan-out (default 1 = sequential); output is
-//                        bit-identical for every thread count. Every STR
-//                        scheme ignores it and runs sequentially.
+//   --threads=<n>        threads for the MB window-close fan-out
+//                        (default: EngineConfig's, 0 = every hardware
+//                        thread; 1 = sequential); output is bit-identical
+//                        for every thread count. Every STR scheme ignores
+//                        it and runs sequentially.
 //   --output=<path>      write pairs as "a b t_a t_b dot sim" (default:
 //                        stdout)
 //   --quiet              suppress per-pair output on stdout; pairs still
@@ -120,7 +121,8 @@ int main(int argc, char** argv) {
   config.index = *index;
   config.theta = flags.GetDouble("theta", 0.7);
   config.lambda = flags.GetDouble("lambda", 0.01);
-  config.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  config.num_threads =
+      static_cast<int>(flags.GetInt("threads", config.num_threads));
   const bool auto_scheme = config.index == sssj::IndexScheme::kAuto;
   if (flags.Has("duel-epoch")) {
     if (!auto_scheme) {

@@ -28,12 +28,14 @@
 // ops) bound replay work.
 //
 // Fork model: workers are forked (no exec) with a socketpair as their
-// only link to the supervisor. Fork only happens while the supervisor
-// process is single-threaded — the library spawns no threads of its
-// own; callers embedding it in threaded programs should Start() before
-// spawning threads and serialize calls per Supervisor (every public
-// method takes the one internal lock, so concurrent calls are safe but
-// not parallel).
+// only link to the supervisor. The library's only threads are the MB
+// window-close pools, each owned by a JoinService or engine object and
+// idle between closes; a forked worker builds its own sequential service
+// and never touches a pool it inherited (pinned by the cluster tests).
+// Callers embedding the supervisor in threaded programs should still
+// Start() before spawning threads of their own, and serialize calls per
+// Supervisor (every public method takes the one internal lock, so
+// concurrent calls are safe but not parallel).
 #ifndef SSSJ_CLUSTER_SUPERVISOR_H_
 #define SSSJ_CLUSTER_SUPERVISOR_H_
 

@@ -19,6 +19,15 @@ JoinServiceOptions ForceSingleThread(JoinServiceOptions options) {
   return options;
 }
 
+// The session's engine config, sequential like the worker itself: the
+// engine default (every hardware thread) would give each MB session a
+// private pool inside the worker process.
+EngineConfig SingleThreadConfig(const WireConfig& wire) {
+  EngineConfig config = wire.ToEngineConfig();
+  config.num_threads = 1;
+  return config;
+}
+
 }  // namespace
 
 Worker::Worker(const WorkerOptions& options)
@@ -116,7 +125,7 @@ Reply Worker::HandleCreateSession(const std::string& payload) {
   SessionRec rec;
   rec.sink = std::make_unique<CollectorSink>();
   StatusOr<JoinService::SessionHandle> handle = service_.CreateSession(
-      {req.name, req.config.ToEngineConfig(), rec.sink.get()});
+      {req.name, SingleThreadConfig(req.config), rec.sink.get()});
   if (!handle.ok()) return ErrorReply(handle.status());
   rec.handle = *handle;
   sessions_.emplace(req.name, std::move(rec));
@@ -215,7 +224,7 @@ Reply Worker::HandleRestore(const std::string& payload) {
   SessionRec rec;
   rec.sink = std::make_unique<CollectorSink>();
   StatusOr<JoinService::SessionHandle> handle = service_.CreateSession(
-      {req.name, req.config.ToEngineConfig(), rec.sink.get()});
+      {req.name, SingleThreadConfig(req.config), rec.sink.get()});
   if (!handle.ok()) return ErrorReply(handle.status());
   std::istringstream is(req.checkpoint);
   status = service_.LoadCheckpoint(*handle, is);

@@ -38,9 +38,10 @@ namespace sssj {
 namespace cluster {
 
 struct WorkerOptions {
-  // Forwarded to the JoinService, except num_threads is forced to 1 (the
-  // worker process is the unit of parallelism in the cluster; engines
-  // inside it stay single-threaded so placement never changes output).
+  // Forwarded to the JoinService, except num_threads is forced to 1, in
+  // the service and in every session's engine config (the worker process
+  // is the unit of parallelism in the cluster; engines inside it stay
+  // single-threaded, and a forked worker never runs a thread pool).
   JoinServiceOptions service;
 };
 

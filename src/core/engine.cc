@@ -155,14 +155,15 @@ StatusOr<std::unique_ptr<JoinCore>> MakeJoinCore(const EngineConfig& config,
   }
   const bool use_simd = KernelModeUsesSimd(config.kernel);
   if (framework == Framework::kMiniBatch) {
+    // 0 resolves to the hardware threads inside MiniBatchJoin.
     const size_t num_threads =
-        config.num_threads < 1 ? 1 : static_cast<size_t>(config.num_threads);
+        config.num_threads < 0 ? 1 : static_cast<size_t>(config.num_threads);
     const double theta = config.theta;
     auto factory = [scheme, theta, use_simd] {
       return MakeBatchIndex(scheme, theta, use_simd);
     };
     std::unique_ptr<JoinCore> core;
-    if (config.pool != nullptr && num_threads > 1) {
+    if (config.pool != nullptr && num_threads != 1) {
       core = std::make_unique<MiniBatchJoin>(
           params, std::move(factory), /*window_factor=*/1.0, config.pool);
     } else {
@@ -301,9 +302,10 @@ StatusOr<std::unique_ptr<SssjEngine>> SssjEngine::Make(
           "no cold prefix to freeze");
     }
   }
-  if (config.pool != nullptr && config.num_threads <= 1) {
+  if (config.pool != nullptr &&
+      (config.num_threads == 1 || config.num_threads < 0)) {
     engine->config_notes_.push_back(
-        "the shared thread pool is unused: num_threads <= 1 keeps the "
+        "the shared thread pool is unused: num_threads = 1 keeps the "
         "sequential path");
   }
 
@@ -353,9 +355,11 @@ Status SssjEngine::PushImpl(Timestamp ts, SparseVector vec) {
   WatermarkFilterSink filtered(OrDiscard(sink_), watermark_);
   ResultSink* out =
       watermark_ > 0 ? static_cast<ResultSink*>(&filtered) : OrDiscard(sink_);
-  if (!core_->Push(item, out)) {
-    return Status::Internal("join rejected a validated item");
-  }
+  // The item moves into the core (MB buffers it in its window) unless the
+  // duel still has to observe it after the push.
+  const bool accepted = tuner_ != nullptr ? core_->Push(item, out)
+                                          : core_->Push(std::move(item), out);
+  if (!accepted) return Status::Internal("join rejected a validated item");
   ++next_id_;
   if (tuner_ != nullptr) ObserveForDuel(item);
   return Status::Ok();

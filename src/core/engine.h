@@ -20,8 +20,9 @@
 // engines behind one manager with a shared thread pool — lives one layer
 // up in core/join_service.h.
 //
-// Parallel execution: with num_threads > 1 every MB configuration
-// (MB-INV/AP/L2AP/L2) parallelizes the query phase of each window close
+// Parallel execution: by default every MB configuration (MB-INV/AP/L2AP/
+// L2) fans each large window close — the self-queries of W_{k−1} and the
+// cross-queries of W_k — out over all hardware threads
 // (stream/minibatch.h) and emits a pair sequence bit-identical to the
 // sequential engine for any thread count. Every STR configuration
 // ignores num_threads and runs sequentially.
@@ -69,19 +70,22 @@ struct EngineConfig {
   // When true (default), Push() unit-normalizes input vectors. When false,
   // non-unit vectors are rejected (the similarity bounds require ||x||=1).
   bool normalize_inputs = true;
-  // Worker threads for the MiniBatch window-close query fan-out (any MB
-  // scheme). 1 (default) keeps the sequential close. Values > 1 are
-  // deterministic: MB output is bit-identical for any thread count.
-  // Ignored by every STR scheme (configuration_notes() says so). Values
-  // < 1 are clamped to 1.
-  int num_threads = 1;
-  // Optional pool for that fan-out, shared with other engines
-  // (JoinService sets this so N sessions share one pool instead of
-  // spawning N). Null (default) gives an MB engine a private pool when
-  // num_threads > 1. The pool serializes concurrent fork/join jobs, and
-  // which pool runs the work never affects the output (determinism hangs
-  // on num_threads — the chunk count — not on pool size).
-  std::shared_ptr<ThreadPool> pool;
+  // Threads for the MiniBatch window-close fan-out (any MB scheme),
+  // including the calling thread. 0 (default) uses every hardware thread;
+  // 1 keeps the sequential close. Windows with fewer than
+  // MiniBatchJoin::kMinFanOutItems probes close sequentially either way.
+  // Deterministic: MB output and RunStats are bit-identical for any
+  // value. Ignored by every STR scheme (configuration_notes() says so
+  // when it is set above 1). Negative values are treated as 1.
+  int num_threads = 0;
+  // Optional pool for that fan-out, shared with other engines and
+  // borrowed: it must outlive the engine (JoinService sets this to its
+  // one per-service pool instead of N private ones). Null (default) gives
+  // an MB engine a private pool. Either pool spawns its threads at the
+  // first window close that fans out, never at construction. It
+  // serializes concurrent fork/join jobs, and which pool runs the work
+  // never affects the output.
+  LazyThreadPool* pool = nullptr;
   // Scoring-kernel selection for the hot posting-scan loops
   // (index/kernels.h). kScalar (default) is the bit-exact reference path.
   // kSimd selects the vectorized kernels: the MB schemes and STR-INV stay

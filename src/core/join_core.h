@@ -65,6 +65,12 @@ class JoinCore {
   // the engine substitutes a discard sink). Returns false on a time-order
   // violation; the item is rejected and state is unchanged.
   virtual bool Push(const StreamItem& x, ResultSink* sink) = 0;
+  // Same, taking the item by value: a core that buffers items (the MB
+  // windows) moves it instead of copying. On a false return `x` is
+  // untouched.
+  virtual bool Push(StreamItem&& x, ResultSink* sink) {
+    return Push(static_cast<const StreamItem&>(x), sink);
+  }
 
   // Pushes every item in order, skipping time-order violations; returns
   // the number accepted.

@@ -138,13 +138,29 @@ bool ParseSpillManifest(const std::string& manifest_path, std::string* name,
 
 }  // namespace
 
-JoinService::JoinService(const Options& options) : options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_shared<ThreadPool>(options_.num_threads);
+JoinService::JoinService(const Options& options)
+    : options_(options), pool_(options.num_threads) {}
+
+JoinService::~JoinService() {
+  // Handles may outlive the service; leave them only closed husks. The
+  // registry is copied out first: sessions lock before the registry,
+  // never after it (see EnforceBudget).
+  std::vector<std::shared_ptr<Session>> sessions;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [name, session] : sessions_) sessions.push_back(session);
+  }
+  for (const auto& session : sessions) {
+    MutexLock lock(session->mu);
+    Retire(session.get());
   }
 }
 
-JoinService::~JoinService() = default;
+void JoinService::Retire(Session* session) {
+  session->closed = true;
+  session->engine.reset();
+  session->owned_sink.reset();
+}
 
 Status JoinService::UnknownSession() {
   return Status::NotFound("unknown or closed session handle");
@@ -184,8 +200,8 @@ Status JoinService::EnsureResident(Session* session) const {
 }
 
 Status JoinService::EvictLocked(Session* victim) {
-  // The filename is derived from the session *name*, not the per-instance
-  // registry id, and a manifest records the mapping — so a different
+  // The filename is derived from the session *name*, which outlives this
+  // instance, and a manifest records the mapping — so a different
   // JoinService instance (after a restart, or a supervisor restoring a
   // dead worker's sessions) can enumerate the spill dir and re-adopt the
   // state via ListSpilled/RestoreSession.
@@ -210,6 +226,7 @@ Status JoinService::EvictLocked(Session* victim) {
     std::remove(path.c_str());
     return fresh.status();
   }
+  victim->evicted_stats = victim->engine->stats();
   victim->engine = *std::move(fresh);
   victim->evicted = true;
   victim->spill_path = path;
@@ -224,7 +241,7 @@ Status JoinService::EnforceBudget(Session* current) {
   auto total_now = [this]() SSSJ_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     size_t total = 0;
-    for (const auto& [id, session] : sessions_) {
+    for (const auto& [name, session] : sessions_) {
       total += session->mem_bytes.load(std::memory_order_relaxed);
     }
     return total;
@@ -237,7 +254,7 @@ Status JoinService::EnforceBudget(Session* current) {
     {
       MutexLock lock(mu_);
       victims.reserve(sessions_.size());
-      for (const auto& [id, session] : sessions_) {
+      for (const auto& [name, session] : sessions_) {
         if (session.get() != current) victims.push_back(session);
       }
     }
@@ -278,103 +295,85 @@ StatusOr<JoinService::SessionHandle> JoinService::CreateSession(
   if (options.name.empty()) {
     return Status::InvalidArgument("session name must be non-empty");
   }
-  // Build the engine outside the registry lock: engine construction may
-  // spawn a private pool, and a rejected config must not disturb the map.
-  EngineConfig config = options.engine;
-  if (pool_ != nullptr && config.num_threads > 1) {
-    config.pool = pool_;
+  // Build the engine outside the registry lock: a rejected config must
+  // not disturb the map.
+  EngineConfig config = std::move(options.engine);
+  if (pool_.num_threads() > 1 && config.num_threads != 1 &&
+      config.num_threads >= 0) {
+    config.pool = &pool_;
   }
   ResultSink* sink =
       options.sink != nullptr ? options.sink : options.owned_sink.get();
   StatusOr<std::unique_ptr<SssjEngine>> engine = SssjEngine::Make(config, sink);
   if (!engine.ok()) return engine.status();
 
-  auto session = std::make_shared<Session>();
-  session->name = options.name;
-  {
-    // No other thread can see the session until the registry insert below,
-    // so initializing its mu-guarded fields without the lock would be
-    // benign — but the uncontended lock costs nothing and keeps the
-    // annotations assumption-free.
-    MutexLock init_lock(session->mu);
-    session->engine = *std::move(engine);
-    session->mem_bytes.store(session->engine->MemoryBytes(),
-                             std::memory_order_relaxed);
-  }
+  const size_t mem_bytes = (*engine)->MemoryBytes();
+  auto session =
+      std::make_shared<Session>(this, options.name, *std::move(engine));
+  session->mem_bytes.store(mem_bytes, std::memory_order_relaxed);
   session->owned_sink = std::move(options.owned_sink);
-  session->config = config;  // resolved (pool applied)
+  session->config = std::move(config);  // resolved (pool applied)
   session->bound_sink = sink;
   session->last_active.store(
       activity_clock_.fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
 
   MutexLock lock(mu_);
-  if (by_name_.count(options.name) != 0) {
+  if (!sessions_.try_emplace(options.name, session).second) {
     return Status::AlreadyExists("a session named '" + options.name +
                                  "' already exists");
   }
-  const uint64_t id = next_id_++;
-  session->id = id;
-  sessions_.emplace(id, std::move(session));
-  by_name_.emplace(options.name, id);
-  return SessionHandle(id);
+  return SessionHandle(std::move(session));
 }
 
 StatusOr<JoinService::SessionHandle> JoinService::FindSession(
     const std::string& name) const {
   MutexLock lock(mu_);
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
+  auto it = sessions_.find(name);
+  if (it == sessions_.end()) {
     return Status::NotFound("no session named '" + name + "'");
   }
   return SessionHandle(it->second);
 }
 
-std::shared_ptr<JoinService::Session> JoinService::Lookup(
-    SessionHandle handle) const {
-  if (!handle.valid()) return nullptr;
-  MutexLock lock(mu_);
-  auto it = sessions_.find(handle.id_);
-  return it == sessions_.end() ? nullptr : it->second;
+JoinService::Session* JoinService::Lookup(const SessionHandle& handle) const {
+  Session* session = handle.session_.get();
+  return session != nullptr && session->owner == this ? session : nullptr;
 }
 
-Status JoinService::CloseSession(SessionHandle handle) {
-  std::shared_ptr<Session> session;
-  {
-    MutexLock lock(mu_);
-    auto it = sessions_.find(handle.id_);
-    if (it == sessions_.end()) return UnknownSession();
-    session = it->second;
-    sessions_.erase(it);
-    by_name_.erase(session->name);
-  }
-  // The registry no longer hands the session out, but a racing call that
-  // looked it up before the erase may still hold it; `closed` makes that
-  // race a clean kNotFound instead of a push into a flushed engine.
+// Drops the session from the registry; false when it was not there (a
+// second close, or a close racing another).
+bool JoinService::Unregister(Session* session) {
+  MutexLock lock(mu_);
+  auto it = sessions_.find(session->name);
+  if (it == sessions_.end() || it->second.get() != session) return false;
+  sessions_.erase(it);
+  return true;
+}
+
+Status JoinService::CloseSession(const SessionHandle& handle) {
+  Session* session = Lookup(handle);
+  if (session == nullptr || !Unregister(session)) return UnknownSession();
+  // The registry no longer hands the session out, but other handles to
+  // it may still be in use; `closed` makes such a call a clean kNotFound
+  // instead of a push into a flushed engine.
   MutexLock lock(session->mu);
   session->closed = true;
   // An evicted session reloads before its final flush: migration-enabled
   // MB sessions can have pairs pending in the spilled window state, and
   // flushing the empty stand-in engine would silently drop them. (For
   // STR-L2 spills the flush is a no-op either way.)
-  Status resident = EnsureResident(session.get());
-  if (!resident.ok()) return resident;
-  session->engine->Flush();
-  return Status::Ok();
+  Status resident = EnsureResident(session);
+  if (resident.ok()) session->engine->Flush();
+  Retire(session);
+  return resident;
 }
 
-Status JoinService::AbandonSession(SessionHandle handle) {
-  std::shared_ptr<Session> session;
-  {
-    MutexLock lock(mu_);
-    auto it = sessions_.find(handle.id_);
-    if (it == sessions_.end()) return UnknownSession();
-    session = it->second;
-    sessions_.erase(it);
-    by_name_.erase(session->name);
-  }
+Status JoinService::AbandonSession(const SessionHandle& handle) {
+  Session* session = Lookup(handle);
+  if (session == nullptr || !Unregister(session)) return UnknownSession();
   MutexLock lock(session->mu);
-  session->closed = true;
+  Retire(session);
   if (session->evicted) {
     // The caller has its own copy of the state (that is the contract of
     // Abandon); the spilled one is garbage, not something to restore.
@@ -389,134 +388,152 @@ Status JoinService::AbandonSession(SessionHandle handle) {
   return Status::Ok();
 }
 
-Status JoinService::Push(SessionHandle handle, Timestamp ts, SparseVector vec) {
-  std::shared_ptr<Session> session = Lookup(handle);
+Status JoinService::Push(const SessionHandle& handle, Timestamp ts,
+                         SparseVector vec) {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  Status budget = EnforceBudget(session.get());
+  Status budget = EnforceBudget(session);
   if (!budget.ok()) return budget;
-  Status resident = EnsureResident(session.get());
+  Status resident = EnsureResident(session);
   if (!resident.ok()) return resident;
   Status result = session->engine->Push(ts, std::move(vec));
-  NoteActivity(session.get());
+  NoteActivity(session);
   return result;
 }
 
-StatusOr<BatchPushResult> JoinService::PushBatch(SessionHandle handle,
+StatusOr<BatchPushResult> JoinService::PushBatch(const SessionHandle& handle,
                                                  const Stream& batch) {
-  std::shared_ptr<Session> session = Lookup(handle);
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  Status budget = EnforceBudget(session.get());
+  Status budget = EnforceBudget(session);
   if (!budget.ok()) return budget;
-  Status resident = EnsureResident(session.get());
+  Status resident = EnsureResident(session);
   if (!resident.ok()) return resident;
   BatchPushResult result = session->engine->PushBatch(batch);
-  NoteActivity(session.get());
+  NoteActivity(session);
   return result;
 }
 
-Status JoinService::Flush(SessionHandle handle) {
-  std::shared_ptr<Session> session = Lookup(handle);
+Status JoinService::Flush(const SessionHandle& handle) {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
   // Flushing the empty stand-in of an evicted session would drop the
   // pairs pending in its spilled MB windows; bring it back first.
-  Status resident = EnsureResident(session.get());
+  Status resident = EnsureResident(session);
   if (!resident.ok()) return resident;
   session->engine->Flush();
   // MB's flush closes both windows, so the footprint changes here too.
-  NoteActivity(session.get());
+  NoteActivity(session);
   return Status::Ok();
 }
 
-Status JoinService::SaveCheckpoint(SessionHandle handle,
+Status JoinService::SaveCheckpoint(const SessionHandle& handle,
                                    const std::string& path) const {
-  std::shared_ptr<Session> session = Lookup(handle);
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
   // An evicted session must reload first, or we would checkpoint the
   // fresh empty stand-in engine.
-  Status resident = EnsureResident(session.get());
+  Status resident = EnsureResident(session);
   if (!resident.ok()) return resident;
   return session->engine->SaveCheckpoint(path);
 }
 
-Status JoinService::LoadCheckpoint(SessionHandle handle,
-                                   const std::string& path) {
-  std::shared_ptr<Session> session = Lookup(handle);
-  if (session == nullptr) return UnknownSession();
-  MutexLock lock(session->mu);
-  if (session->closed) return UnknownSession();
-  if (session->evicted) {
-    // The caller is replacing the session's state wholesale; the spilled
-    // copy is dead either way.
-    std::remove(ManifestFor(session->spill_path).c_str());
-    std::remove(session->spill_path.c_str());
-    session->evicted = false;
-    session->spill_path.clear();
+template <typename Load>
+Status JoinService::LoadInto(Session* session, Load&& load) {
+  if (!session->evicted) {
+    // SssjEngine::LoadCheckpoint leaves the engine untouched on failure.
+    Status status = load(session->engine.get());
+    if (status.ok()) NoteActivity(session);
+    return status;
   }
-  Status status = session->engine->LoadCheckpoint(path);
-  if (status.ok()) NoteActivity(session.get());
-  return status;
+  StatusOr<std::unique_ptr<SssjEngine>> fresh =
+      SssjEngine::Make(session->config, session->bound_sink);
+  if (!fresh.ok()) return fresh.status();
+  Status status = load(fresh->get());
+  if (!status.ok()) return status;
+  // The caller replaced the session's state wholesale; the spilled copy
+  // is dead now, and only now.
+  session->engine = *std::move(fresh);
+  std::remove(ManifestFor(session->spill_path).c_str());
+  std::remove(session->spill_path.c_str());
+  session->evicted = false;
+  session->spill_path.clear();
+  NoteActivity(session);
+  return Status::Ok();
 }
 
-Status JoinService::SaveCheckpoint(SessionHandle handle,
-                                   std::ostream& os) const {
-  std::shared_ptr<Session> session = Lookup(handle);
+Status JoinService::LoadCheckpoint(const SessionHandle& handle,
+                                   const std::string& path) {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  Status resident = EnsureResident(session.get());
+  return LoadInto(session, [&path](SssjEngine* engine) {
+    return engine->LoadCheckpoint(path);
+  });
+}
+
+Status JoinService::SaveCheckpoint(const SessionHandle& handle,
+                                   std::ostream& os) const {
+  Session* session = Lookup(handle);
+  if (session == nullptr) return UnknownSession();
+  MutexLock lock(session->mu);
+  if (session->closed) return UnknownSession();
+  Status resident = EnsureResident(session);
   if (!resident.ok()) return resident;
   return session->engine->SaveCheckpoint(os);
 }
 
-Status JoinService::LoadCheckpoint(SessionHandle handle, std::istream& is) {
-  std::shared_ptr<Session> session = Lookup(handle);
+Status JoinService::LoadCheckpoint(const SessionHandle& handle,
+                                   std::istream& is) {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  if (session->evicted) {
-    std::remove(ManifestFor(session->spill_path).c_str());
-    std::remove(session->spill_path.c_str());
-    session->evicted = false;
-    session->spill_path.clear();
-  }
-  Status status = session->engine->LoadCheckpoint(is);
-  if (status.ok()) NoteActivity(session.get());
-  return status;
+  return LoadInto(session, [&is](SssjEngine* engine) {
+    return engine->LoadCheckpoint(is);
+  });
 }
 
-Status JoinService::SwitchScheme(SessionHandle handle, Framework framework,
-                                 IndexScheme scheme) {
-  std::shared_ptr<Session> session = Lookup(handle);
+Status JoinService::SwitchScheme(const SessionHandle& handle,
+                                 Framework framework, IndexScheme scheme) {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
   // Migrating the empty stand-in of an evicted session would orphan the
   // spilled state; bring it back first.
-  Status resident = EnsureResident(session.get());
+  Status resident = EnsureResident(session);
   if (!resident.ok()) return resident;
   Status result = session->engine->SwitchScheme(framework, scheme);
-  NoteActivity(session.get());
+  NoteActivity(session);
   return result;
 }
 
-StatusOr<RunStats> JoinService::SessionStats(SessionHandle handle) const {
-  std::shared_ptr<Session> session = Lookup(handle);
+StatusOr<RunStats> JoinService::SessionStats(
+    const SessionHandle& handle) const {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
-  return session->engine->stats();
+  return StatsOf(*session);
 }
 
-StatusOr<size_t> JoinService::SessionMemoryBytes(SessionHandle handle) const {
-  std::shared_ptr<Session> session = Lookup(handle);
+const RunStats& JoinService::StatsOf(const Session& session) {
+  return session.evicted ? session.evicted_stats : session.engine->stats();
+}
+
+StatusOr<size_t> JoinService::SessionMemoryBytes(
+    const SessionHandle& handle) const {
+  Session* session = Lookup(handle);
   if (session == nullptr) return UnknownSession();
   MutexLock lock(session->mu);
   if (session->closed) return UnknownSession();
@@ -595,7 +612,7 @@ ServiceStats JoinService::Stats() const {
   {
     MutexLock lock(mu_);
     snapshot.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) snapshot.push_back(session);
+    for (const auto& [name, session] : sessions_) snapshot.push_back(session);
   }
   ServiceStats stats;
   stats.sessions_evicted = evictions_.load(std::memory_order_relaxed);
@@ -606,8 +623,9 @@ ServiceStats JoinService::Stats() const {
     if (session->closed) continue;
     ServiceStats::SessionEntry entry;
     entry.name = session->name;
-    entry.vectors_processed = session->engine->stats().vectors_processed;
-    entry.pairs_emitted = session->engine->stats().pairs_emitted;
+    const RunStats& run = StatsOf(*session);
+    entry.vectors_processed = run.vectors_processed;
+    entry.pairs_emitted = run.pairs_emitted;
     entry.memory_bytes = session->mem_bytes.load(std::memory_order_relaxed);
     entry.evicted = session->evicted;
     stats.vectors_processed += entry.vectors_processed;

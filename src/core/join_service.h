@@ -4,11 +4,11 @@
 // tenant (a user's feed, a topic, a shard of the corpus) gets a named
 // *session* — its own engine with its own EngineConfig, sink chain,
 // stats, id space, and memory accounting — while the service owns the
-// shared machinery: one ThreadPool for every MiniBatch session's
-// window-close fan-out (instead of one pool per engine) and the aggregate
-// capacity view.
+// shared machinery: one thread pool for every MiniBatch session's
+// window-close fan-out (instead of one pool per engine), built at the
+// first close that fans out, and the aggregate capacity view.
 //
-//   sssj::JoinService service({/*num_threads=*/8});
+//   sssj::JoinService service;  // pool sized to the hardware threads
 //   sssj::CollectorSink news_sink;
 //   auto news = service.CreateSession({"news", news_cfg, &news_sink});
 //   auto spam = service.CreateSession({"spam", spam_cfg, &spam_sink});
@@ -17,8 +17,8 @@
 //   service.CloseSession(*news);             // flushes, then destroys
 //
 // Thread-safety: every method is safe to call from any thread. Calls on
-// *distinct* sessions run concurrently (each session has its own lock;
-// the registry lock is held only for the lookup). Calls on the *same*
+// *distinct* sessions run concurrently (each session has its own lock,
+// and a handle resolves without the registry lock). Calls on the *same*
 // session are serialized by its lock — the per-session stream is a
 // totally ordered sequence, exactly like a standalone engine. Output per
 // session is bit-identical to a standalone engine with the same config
@@ -39,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
@@ -52,11 +51,15 @@ namespace sssj {
 // Service-wide knobs (namespace-scope so it can default-construct in the
 // JoinService constructor's default argument).
 struct JoinServiceOptions {
-  // Worker threads shared by every MiniBatch session's window-close query
-  // fan-out. 1 disables the shared pool: MB sessions with num_threads > 1
-  // then get private pools, as standalone engines do. STR sessions run
-  // sequentially and never use it.
-  size_t num_threads = 1;
+  // Threads of the pool shared by every MiniBatch session's window-close
+  // fan-out, including the calling thread. 0 (default) uses every
+  // hardware thread. The pool belongs to this service (never process-
+  // global, so a forked child never inherits one it would use) and spawns
+  // its threads at the first window close that fans out, never in the
+  // constructor. 1 disables the shared pool: MB sessions then get private
+  // pools, as standalone engines do. STR sessions run sequentially and
+  // never use it.
+  size_t num_threads = 0;
   // Service-wide cap on the sum of every live session's MemoryBytes().
   // 0 (default) = unlimited. When a Push/PushBatch would run while the
   // total is over budget, the service first evicts dormant sessions
@@ -98,18 +101,26 @@ struct ServiceStats {
 };
 
 class JoinService {
+ private:
+  struct Session;
+
  public:
-  // Opaque session handle; cheap to copy. A default-constructed handle is
-  // invalid and every call taking it returns kNotFound.
+  // Opaque session handle. A default-constructed handle is invalid and
+  // every call taking it returns kNotFound, as does a handle of another
+  // service or of a closed session. The handle keeps the session's
+  // bookkeeping (not its engine, which closing releases) alive, so a call
+  // resolves it without a registry lookup: pass it by reference, copies
+  // cost a reference-count update.
   class SessionHandle {
    public:
     SessionHandle() = default;
-    bool valid() const { return id_ != 0; }
+    bool valid() const { return session_ != nullptr; }
 
    private:
     friend class JoinService;
-    explicit SessionHandle(uint64_t id) : id_(id) {}
-    uint64_t id_ = 0;
+    explicit SessionHandle(std::shared_ptr<Session> session)
+        : session_(std::move(session)) {}
+    std::shared_ptr<Session> session_;
   };
 
   using Options = JoinServiceOptions;
@@ -142,7 +153,7 @@ class JoinService {
   //   kAlreadyExists    a live session already has this name
   //   (plus anything SssjEngine::Make rejects, forwarded verbatim)
   // EngineConfig::pool is overridden with the service pool (when the
-  // service has one and the session asks for num_threads > 1).
+  // service has one and the session does not ask for num_threads = 1).
   StatusOr<SessionHandle> CreateSession(SessionOptions options)
       SSSJ_EXCLUDES(mu_);
 
@@ -152,7 +163,7 @@ class JoinService {
 
   // Flushes buffered state into the session's sink, then destroys the
   // session. The name becomes reusable.
-  Status CloseSession(SessionHandle handle) SSSJ_EXCLUDES(mu_);
+  Status CloseSession(const SessionHandle& handle) SSSJ_EXCLUDES(mu_);
 
   // Destroys the session WITHOUT the final flush, discarding any pairs
   // still pending in MB windows — for callers that have already captured
@@ -160,31 +171,32 @@ class JoinService {
   // MigrateOut: the pending pairs live on in the checkpoint and emit at
   // the destination; flushing here would emit them twice). An evicted
   // session's spill files are deleted, not restored.
-  Status AbandonSession(SessionHandle handle) SSSJ_EXCLUDES(mu_);
+  Status AbandonSession(const SessionHandle& handle) SSSJ_EXCLUDES(mu_);
 
   // Per-session mirrors of the engine API; all return kNotFound for an
   // unknown/closed handle, otherwise exactly what the underlying engine
   // returns.
-  Status Push(SessionHandle handle, Timestamp ts, SparseVector vec)
+  Status Push(const SessionHandle& handle, Timestamp ts, SparseVector vec)
       SSSJ_EXCLUDES(mu_);
-  StatusOr<BatchPushResult> PushBatch(SessionHandle handle,
+  StatusOr<BatchPushResult> PushBatch(const SessionHandle& handle,
                                       const Stream& batch) SSSJ_EXCLUDES(mu_);
-  Status Flush(SessionHandle handle);
-  Status SaveCheckpoint(SessionHandle handle, const std::string& path) const;
-  Status LoadCheckpoint(SessionHandle handle, const std::string& path);
+  Status Flush(const SessionHandle& handle);
+  Status SaveCheckpoint(const SessionHandle& handle,
+                        const std::string& path) const;
+  Status LoadCheckpoint(const SessionHandle& handle, const std::string& path);
   // Stream-based checkpoint cores, for embedding a session's state in a
   // larger container (the cluster layer ships them as migration frames).
-  Status SaveCheckpoint(SessionHandle handle, std::ostream& os) const;
-  Status LoadCheckpoint(SessionHandle handle, std::istream& is);
+  Status SaveCheckpoint(const SessionHandle& handle, std::ostream& os) const;
+  Status LoadCheckpoint(const SessionHandle& handle, std::istream& is);
   // Live scheme migration on one session (its engine must have migration
   // enabled — adaptive.enable_migration or IndexScheme::kAuto). Runs
   // under the session lock like every per-session call, so it can never
   // interleave with a Push/Flush on the same session; other sessions are
   // unaffected. Forwards exactly what SssjEngine::SwitchScheme returns.
-  Status SwitchScheme(SessionHandle handle, Framework framework,
+  Status SwitchScheme(const SessionHandle& handle, Framework framework,
                       IndexScheme scheme) SSSJ_EXCLUDES(mu_);
-  StatusOr<RunStats> SessionStats(SessionHandle handle) const;
-  StatusOr<size_t> SessionMemoryBytes(SessionHandle handle) const;
+  StatusOr<RunStats> SessionStats(const SessionHandle& handle) const;
+  StatusOr<size_t> SessionMemoryBytes(const SessionHandle& handle) const;
 
   size_t num_sessions() const SSSJ_EXCLUDES(mu_);
 
@@ -228,18 +240,26 @@ class JoinService {
 
  private:
   struct Session {
+    // No other thread can see a session before the registry insert, so
+    // the constructor sets the mu-guarded engine without the lock.
+    Session(const JoinService* owner_in, std::string name_in,
+            std::unique_ptr<SssjEngine> engine_in)
+        : owner(owner_in),
+          name(std::move(name_in)),
+          engine(std::move(engine_in)) {}
+
     Mutex mu;
-    std::string name;
+    const JoinService* const owner;
+    const std::string name;
     // Declared before `engine` so it outlives engine teardown (members
     // destroy in reverse order; the engine's bound sink points here).
     std::unique_ptr<ResultSink> owned_sink;
     std::unique_ptr<SssjEngine> engine SSSJ_GUARDED_BY(mu);
-    // Set under mu by CloseSession/AbandonSession. A call that looked the
-    // session up before the registry erase sees it and returns kNotFound
-    // instead of touching a closed engine.
+    // Set under mu by CloseSession/AbandonSession (which then release the
+    // engine) and by the service destructor. Every call checks it and
+    // returns kNotFound instead of touching a closed engine.
     bool closed SSSJ_GUARDED_BY(mu) = false;
     // ---- budget/eviction state ----
-    uint64_t id = 0;  // registry id; immutable once inserted
     EngineConfig config;             // resolved config, for engine rebuild
     ResultSink* bound_sink = nullptr;  // sink the engine was built with
     // The engine's exact MemoryBytes() (an O(1) read), refreshed after
@@ -249,11 +269,23 @@ class JoinService {
     std::atomic<uint64_t> last_active{0};  // service activity clock tick
     bool evicted SSSJ_GUARDED_BY(mu) = false;
     std::string spill_path SSSJ_GUARDED_BY(mu);  // set iff evicted
+    // The engine's RunStats at eviction, served while evicted (the
+    // stand-in engine has none).
+    RunStats evicted_stats SSSJ_GUARDED_BY(mu);
   };
 
-  // Registry lookup; returns null after CloseSession erased the id.
-  std::shared_ptr<Session> Lookup(SessionHandle handle) const
-      SSSJ_EXCLUDES(mu_);
+  // The session's RunStats, the eviction snapshot while it is evicted.
+  static const RunStats& StatsOf(const Session& session)
+      SSSJ_REQUIRES(session.mu);
+
+  // The handle's session, or null for an invalid handle or one of another
+  // service. The caller's handle keeps it alive; whether it is closed is
+  // read under its lock.
+  Session* Lookup(const SessionHandle& handle) const;
+  // Drops the session from the registry; false when it was not there.
+  bool Unregister(Session* session) SSSJ_EXCLUDES(mu_);
+  // Marks the session closed and releases its engine and sink.
+  static void Retire(Session* session) SSSJ_REQUIRES(session->mu);
   static Status UnknownSession();
 
   // True for the checkpointable configurations eviction supports:
@@ -266,6 +298,12 @@ class JoinService {
   // Brings an evicted session back (LoadCheckpoint from its spill file,
   // which is then deleted).
   Status EnsureResident(Session* session) const SSSJ_REQUIRES(session->mu);
+  // Replaces the session's state with a checkpoint read by `load`. An
+  // evicted session loads into a fresh engine that is swapped in, and its
+  // spill removed, only on success: a failed load leaves it evicted with
+  // its spill intact.
+  template <typename Load>
+  Status LoadInto(Session* session, Load&& load) SSSJ_REQUIRES(session->mu);
   // Spills the session to a checkpoint file and swaps in a fresh empty
   // engine.
   Status EvictLocked(Session* victim) SSSJ_REQUIRES(victim->mu);
@@ -279,12 +317,14 @@ class JoinService {
       SSSJ_REQUIRES(current->mu) SSSJ_EXCLUDES(mu_);
 
   Options options_;
-  std::shared_ptr<ThreadPool> pool_;  // null when options_.num_threads <= 1
+  // Declared before the registry so it outlives every session's engine.
+  LazyThreadPool pool_;
 
-  mutable Mutex mu_;  // guards the registry maps and next_id_
-  uint64_t next_id_ SSSJ_GUARDED_BY(mu_) = 1;
-  std::map<uint64_t, std::shared_ptr<Session>> sessions_ SSSJ_GUARDED_BY(mu_);
-  std::unordered_map<std::string, uint64_t> by_name_ SSSJ_GUARDED_BY(mu_);
+  mutable Mutex mu_;  // guards the registry
+  // Live sessions by name. Handles carry their session, so the registry
+  // serves only name lookups and whole-service walks.
+  std::map<std::string, std::shared_ptr<Session>> sessions_
+      SSSJ_GUARDED_BY(mu_);
 
   // Budget bookkeeping. The clock orders sessions for LRU eviction; the
   // counters feed ServiceStats. All atomic (and mutable where const

@@ -4,44 +4,54 @@
 
 namespace sssj {
 
-void InvIndex::Construct(const Stream& window, const MaxVector& /*unused*/,
-                         std::vector<ResultPair>* pairs) {
-  scratch_.stats = RunStats{};
+void InvIndex::Build(const Stream& window, const MaxVector& /*unused*/) {
+  self_.Clear();
+  self_.offset.reserve(window.size() + 1);
   for (const StreamItem& x : window) {
-    QueryInternal(x, &scratch_, pairs);
+    self_.offset.push_back(static_cast<uint32_t>(self_.limit.size()));
     AddInternal(x);
   }
-  stats_ += scratch_.stats;
+  self_.offset.push_back(static_cast<uint32_t>(self_.limit.size()));
   ++stats_.index_rebuilds;
+}
+
+void InvIndex::SelfQuery(const Stream& window, size_t pos,
+                         BatchQueryScratch* scratch,
+                         std::vector<ResultPair>* pairs) const {
+  QueryInternal(window[pos], self_.limit.data() + self_.offset[pos], scratch,
+                pairs);
 }
 
 void InvIndex::Query(const StreamItem& x, BatchQueryScratch* scratch,
                      std::vector<ResultPair>* pairs) const {
-  QueryInternal(x, scratch, pairs);
+  QueryInternal(x, nullptr, scratch, pairs);
 }
 
 void InvIndex::Clear() {
   lists_.clear();
+  self_.Clear();
 }
 
 size_t InvIndex::MemoryBytes() const {
-  size_t bytes = 0;
+  size_t bytes = self_.MemoryBytes();
   for (const auto& [dim, list] : lists_) {
     bytes += sizeof(DimId) + list.capacity_bytes();
   }
   return bytes;
 }
 
-void InvIndex::QueryInternal(const StreamItem& x, BatchQueryScratch* scratch,
+void InvIndex::QueryInternal(const StreamItem& x, const uint32_t* limits,
+                             BatchQueryScratch* scratch,
                              std::vector<ResultPair>* pairs) const {
   CandidateMap& cands = scratch->cands;
   RunStats& stats = scratch->stats;
   cands.Reset();
-  for (const Coord& c : x.vec) {
+  for (size_t i = 0; i < x.vec.nnz(); ++i) {
+    const Coord& c = x.vec.coord(i);
     auto it = lists_.find(c.dim);
     if (it == lists_.end()) continue;
     const BatchPostingList& list = it->second;
-    const size_t len = list.size();
+    const size_t len = limits != nullptr ? limits[i] : list.size();
     const VectorId* ids = list.id();
     const double* vals = list.value();
     const Timestamp* tss = list.ts();
@@ -83,7 +93,9 @@ void InvIndex::QueryInternal(const StreamItem& x, BatchQueryScratch* scratch,
 
 void InvIndex::AddInternal(const StreamItem& x) {
   for (const Coord& c : x.vec) {
-    lists_[c.dim].Append(x.id, c.value, 0.0, x.ts);
+    BatchPostingList& list = lists_[c.dim];
+    self_.limit.push_back(static_cast<uint32_t>(list.size()));
+    list.Append(x.id, c.value, 0.0, x.ts);
     ++stats_.entries_indexed;
   }
   ++stats_.vectors_processed;

@@ -20,8 +20,10 @@ class InvIndex : public BatchIndex {
   explicit InvIndex(double theta, bool use_simd = false)
       : theta_(theta), use_simd_(use_simd) {}
 
-  void Construct(const Stream& window, const MaxVector& global_max,
-                 std::vector<ResultPair>* pairs) override;
+  void Build(const Stream& window, const MaxVector& global_max) override;
+  bool UsesGlobalMax() const override { return false; }
+  void SelfQuery(const Stream& window, size_t pos, BatchQueryScratch* scratch,
+                 std::vector<ResultPair>* pairs) const override;
   using BatchIndex::Query;
   void Query(const StreamItem& x, BatchQueryScratch* scratch,
              std::vector<ResultPair>* pairs) const override;
@@ -30,13 +32,17 @@ class InvIndex : public BatchIndex {
   size_t MemoryBytes() const override;
 
  private:
-  void QueryInternal(const StreamItem& x, BatchQueryScratch* scratch,
+  // `limits` (one per coordinate of x) caps how much of each probed list
+  // the query reads; null reads the whole list.
+  void QueryInternal(const StreamItem& x, const uint32_t* limits,
+                     BatchQueryScratch* scratch,
                      std::vector<ResultPair>* pairs) const;
   void AddInternal(const StreamItem& x);
 
   double theta_;
   bool use_simd_;
   std::unordered_map<DimId, BatchPostingList> lists_;
+  SelfQueryRecords self_;
 };
 
 }  // namespace sssj

@@ -8,24 +8,34 @@
 namespace sssj {
 
 template <typename Policy>
-void PrefixIndex<Policy>::Construct(const Stream& window,
-                                    const MaxVector& global_max,
-                                    std::vector<ResultPair>* pairs) {
-  m_ = global_max;
-  scratch_.stats = RunStats{};
+void PrefixIndex<Policy>::Build(const Stream& window,
+                                const MaxVector& global_max) {
+  if constexpr (Policy::kAp) m_ = global_max;
+  self_.Clear();
+  self_.offset.reserve(window.size() + 1);
   for (const StreamItem& x : window) {
-    QueryInternal(x, &scratch_, pairs);
+    self_.offset.push_back(static_cast<uint32_t>(self_.limit.size()));
     AddInternal(x);
   }
-  stats_ += scratch_.stats;
+  self_.offset.push_back(static_cast<uint32_t>(self_.limit.size()));
   ++stats_.index_rebuilds;
+}
+
+template <typename Policy>
+void PrefixIndex<Policy>::SelfQuery(const Stream& window, size_t pos,
+                                    BatchQueryScratch* scratch,
+                                    std::vector<ResultPair>* pairs) const {
+  const size_t at = self_.offset[pos];
+  QueryInternal(window[pos], self_.limit.data() + at,
+                Policy::kAp ? self_.mhat.data() + at : nullptr, scratch,
+                pairs);
 }
 
 template <typename Policy>
 void PrefixIndex<Policy>::Query(const StreamItem& x,
                                 BatchQueryScratch* scratch,
                                 std::vector<ResultPair>* pairs) const {
-  QueryInternal(x, scratch, pairs);
+  QueryInternal(x, nullptr, nullptr, scratch, pairs);
 }
 
 template <typename Policy>
@@ -34,6 +44,7 @@ void PrefixIndex<Policy>::Clear() {
   residuals_.Clear();
   m_.Clear();
   mhat_.Clear();
+  self_.Clear();
 }
 
 template <typename Policy>
@@ -45,7 +56,7 @@ size_t PrefixIndex<Policy>::IndexedEntries() const {
 
 template <typename Policy>
 size_t PrefixIndex<Policy>::MemoryBytes() const {
-  size_t bytes = residuals_.MemoryBytes();
+  size_t bytes = residuals_.MemoryBytes() + self_.MemoryBytes();
   for (const auto& [dim, list] : lists_) {
     bytes += sizeof(DimId) + list.capacity_bytes();
   }
@@ -54,11 +65,13 @@ size_t PrefixIndex<Policy>::MemoryBytes() const {
 }
 
 // CandGen (Algorithm 3) + CandVer (Algorithm 4), no time decay. Reads only
-// immutable index state (lists_, residuals_, m_, mhat_); every mutable
+// immutable index state (lists_, residuals_, mhat_, self_); every mutable
 // piece lives in *scratch, so concurrent calls with distinct scratches are
 // safe (the MB window fan-out relies on this).
 template <typename Policy>
 void PrefixIndex<Policy>::QueryInternal(const StreamItem& x,
+                                        const uint32_t* limits,
+                                        const double* mhat_at,
                                         BatchQueryScratch* scratch,
                                         std::vector<ResultPair>* pairs) const {
   const SparseVector& v = x.vec;
@@ -82,7 +95,16 @@ void PrefixIndex<Policy>::QueryInternal(const StreamItem& x,
 
   // sz1 = θ / vm_x: minimum "weight capacity" |y|·vm_y of a viable y.
   const double sz1 = Policy::kAp ? theta_ / v.max_value() : 0.0;
-  double rs1 = Policy::kAp ? mhat_.Dot(v) : 0.0;
+  // m̂ at coordinate i: the recorded prefix value for a self-query, the
+  // whole index's otherwise. rs1 sums in coordinate order either way,
+  // exactly as MaxVector::Dot does.
+  const auto mhat = [&](size_t i) {
+    return mhat_at != nullptr ? mhat_at[i] : mhat_.Get(v.coord(i).dim);
+  };
+  double rs1 = 0.0;
+  if constexpr (Policy::kAp) {
+    for (size_t i = 0; i < n; ++i) rs1 += v.coord(i).value * mhat(i);
+  }
   double rst = v.norm() * v.norm();
 
   for (size_t i = n; i-- > 0;) {  // reverse coordinate order
@@ -96,7 +118,7 @@ void PrefixIndex<Policy>::QueryInternal(const StreamItem& x,
       }
       const bool admit_more = BoundAtLeast(remscore, theta_);
       const BatchPostingList& list = it->second;
-      const size_t len = list.size();
+      const size_t len = limits != nullptr ? limits[i] : list.size();
       const VectorId* ids = list.id();
       const double* vals = list.value();
       const double* pns = list.prefix_norm();
@@ -147,7 +169,7 @@ void PrefixIndex<Policy>::QueryInternal(const StreamItem& x,
         }
       }
     }
-    if constexpr (Policy::kAp) rs1 -= c.value * mhat_.Get(c.dim);
+    if constexpr (Policy::kAp) rs1 -= c.value * mhat(i);
     rst -= c.value * c.value;
   }
 
@@ -202,6 +224,7 @@ void PrefixIndex<Policy>::AddInternal(const StreamItem& x) {
   // (§3: "m̂ refers to the vector m restricted to the dataset that is
   // already indexed", i.e. restricted by vector, not by coordinate).
   if constexpr (Policy::kAp) {
+    for (const Coord& c : v) self_.mhat.push_back(mhat_.Get(c.dim));
     mhat_.UpdateFrom(v, nullptr);
   }
 
@@ -250,8 +273,14 @@ void PrefixIndex<Policy>::AddInternal(const StreamItem& x) {
         residuals_.Insert(x.id, std::move(rec));
         first_indexed = false;
       }
-      lists_[c.dim].Append(x.id, c.value, pn, x.ts);
+      BatchPostingList& list = lists_[c.dim];
+      self_.limit.push_back(static_cast<uint32_t>(list.size()));
+      list.Append(x.id, c.value, pn, x.ts);
       ++stats_.entries_indexed;
+    } else {
+      auto it = lists_.find(c.dim);
+      self_.limit.push_back(
+          it == lists_.end() ? 0 : static_cast<uint32_t>(it->second.size()));
     }
   }
   // With a valid global max vector, min{b1, b2} reaches ||x|| = 1 ≥ θ by

@@ -46,8 +46,10 @@ class PrefixIndex : public BatchIndex {
   explicit PrefixIndex(double theta, bool use_simd = false)
       : theta_(theta), use_simd_(use_simd) {}
 
-  void Construct(const Stream& window, const MaxVector& global_max,
-                 std::vector<ResultPair>* pairs) override;
+  void Build(const Stream& window, const MaxVector& global_max) override;
+  bool UsesGlobalMax() const override { return Policy::kAp; }
+  void SelfQuery(const Stream& window, size_t pos, BatchQueryScratch* scratch,
+                 std::vector<ResultPair>* pairs) const override;
   using BatchIndex::Query;
   void Query(const StreamItem& x, BatchQueryScratch* scratch,
              std::vector<ResultPair>* pairs) const override;
@@ -60,7 +62,11 @@ class PrefixIndex : public BatchIndex {
   size_t IndexedEntries() const;
 
  private:
-  void QueryInternal(const StreamItem& x, BatchQueryScratch* scratch,
+  // `limits` (one per coordinate of x) caps how much of each probed list
+  // the query reads and `mhat_at` (likewise) replaces m̂ at x's
+  // coordinates; both null for a query against the whole index.
+  void QueryInternal(const StreamItem& x, const uint32_t* limits,
+                     const double* mhat_at, BatchQueryScratch* scratch,
                      std::vector<ResultPair>* pairs) const;
   void AddInternal(const StreamItem& x);
 
@@ -68,8 +74,9 @@ class PrefixIndex : public BatchIndex {
   bool use_simd_ = false;
   std::unordered_map<DimId, BatchPostingList> lists_;
   ResidualStore residuals_;
-  MaxVector m_;     // global max (dominates window + future queries)
+  MaxVector m_;     // global max (dominates window + future queries); AP
   MaxVector mhat_;  // max over *indexed* coordinate values (rs1 bound)
+  SelfQueryRecords self_;
 };
 
 using ApIndex = PrefixIndex<ApPolicy>;

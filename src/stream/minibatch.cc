@@ -11,21 +11,33 @@ MiniBatchJoin::MiniBatchJoin(const DecayParams& params, IndexFactory factory,
                              double window_factor, size_t num_threads)
     : params_(params),
       factory_(std::move(factory)),
-      window_len_(params.tau * std::max(window_factor, 1.0)) {
-  if (num_threads > 1) pool_ = std::make_shared<ThreadPool>(num_threads);
-}
+      window_len_(params.tau * std::max(window_factor, 1.0)),
+      own_pool_(num_threads),
+      pool_(own_pool_.num_threads() > 1 ? &own_pool_ : nullptr) {}
 
 MiniBatchJoin::MiniBatchJoin(const DecayParams& params, IndexFactory factory,
-                             double window_factor,
-                             std::shared_ptr<ThreadPool> pool)
+                             double window_factor, LazyThreadPool* pool)
     : params_(params),
       factory_(std::move(factory)),
       window_len_(params.tau * std::max(window_factor, 1.0)),
-      pool_(std::move(pool)) {
-  if (pool_ != nullptr && pool_->num_threads() == 1) pool_.reset();
-}
+      own_pool_(1),
+      pool_(pool != nullptr && pool->num_threads() > 1 ? pool : nullptr) {}
 
 namespace {
+// The probe state of one pool thread, shared by every join whose close
+// the thread works on: a thread runs one task at a time and no user code
+// runs inside a task, so a service's pool keeps one scratch per thread
+// however many sessions it serves.
+struct PoolThreadScratch {
+  BatchQueryScratch scratch;
+  std::vector<ResultPair> raw;
+};
+
+PoolThreadScratch& ThisThreadScratch() {
+  thread_local PoolThreadScratch scratch;
+  return scratch;
+}
+
 // End of the window anchored at `start`. For the degenerate τ = 0 (θ = 1
 // with λ > 0: only simultaneous pairs can qualify) the window is the
 // smallest half-open interval containing `start`, so equal timestamps
@@ -37,6 +49,15 @@ Timestamp WindowEndFor(Timestamp start, double tau) {
 }  // namespace
 
 bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
+  return PushItem(x, sink);
+}
+
+bool MiniBatchJoin::Push(StreamItem&& x, ResultSink* sink) {
+  return PushItem(std::move(x), sink);
+}
+
+template <typename Item>
+bool MiniBatchJoin::PushItem(Item&& x, ResultSink* sink) {
   if (started_ && x.ts < last_ts_) return false;
   if (!started_) {
     // A fresh run begins (first ever Push, or first Push after a Flush):
@@ -61,8 +82,8 @@ bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
       window_end_ = WindowEndFor(x.ts, window_len_);
     }
   }
-  cur_.push_back(x);
   cur_bytes_ += ItemBytes(x);
+  cur_.push_back(std::forward<Item>(x));
   ++stats_.vectors_processed;
   return true;
 }
@@ -80,38 +101,34 @@ void MiniBatchJoin::Flush(ResultSink* sink) {
 void MiniBatchJoin::CloseWindow(ResultSink* sink) {
   if (prev_.empty() && cur_.empty()) return;
 
-  // Global max vector over both windows (§6.1): makes AP prefix filtering
-  // sound for queries coming from the current window.
-  MaxVector m;
-  for (const StreamItem& item : prev_) m.UpdateFrom(item.vec, nullptr);
-  for (const StreamItem& item : cur_) m.UpdateFrom(item.vec, nullptr);
-
   std::unique_ptr<BatchIndex> index = factory_();
-  scratch_pairs_.clear();
-  index->Construct(prev_, m, &scratch_pairs_);
-  EmitWithDecay(scratch_pairs_, sink);
+  // Global max vector over both windows (§6.1): makes AP prefix filtering
+  // sound for queries coming from the current window. Only the AP-family
+  // bounds read it.
+  MaxVector m;
+  if (index->UsesGlobalMax()) {
+    for (const StreamItem& item : prev_) m.UpdateFrom(item.vec, nullptr);
+    for (const StreamItem& item : cur_) m.UpdateFrom(item.vec, nullptr);
+  }
+  index->Build(prev_, m);
 
-  // Query phase: the index is now immutable, so the probes of W_k are
-  // independent. Fan out across the pool when it pays; tiny windows keep
-  // the sequential loop (either path emits the exact same pair sequence).
-  if (pool_ != nullptr && cur_.size() >= 2 * pool_->num_threads()) {
-    QueryWindowParallel(*index, sink);
+  // Every probe reads only the now-immutable index, so the self-queries of
+  // W_{k−1} and the cross-queries of W_k fan out together when it pays;
+  // either path emits the exact same pair sequence.
+  if (pool_ != nullptr && !prev_.empty() &&
+      prev_.size() + cur_.size() >= kMinFanOutItems) {
+    CloseParallel(*index, &pool_->Get(), sink);
   } else {
-    for (const StreamItem& x : cur_) {
-      scratch_pairs_.clear();
-      index->Query(x, &scratch_pairs_);
-      EmitWithDecay(scratch_pairs_, sink);
-    }
+    CloseSequential(*index, sink);
   }
 
-  // Fold the per-window index statistics into the aggregate; the index —
-  // and all its posting lists — is then dropped wholesale. A batch index
-  // only ever grows, so its entry count at close time is its peak; the
+  // Fold the index statistics into the aggregate; the index — and all
+  // its posting lists — is then dropped wholesale. A batch index only
+  // ever grows, so its entry count at close time is its peak; the
   // aggregate keeps the max across windows.
   peak_index_bytes_ = std::max(peak_index_bytes_, index->MemoryBytes());
   RunStats idx_stats = index->stats();
   idx_stats.vectors_processed = 0;  // already counted in Push
-  idx_stats.pairs_emitted = 0;      // counted post-decay in EmitWithDecay
   idx_stats.peak_index_entries = idx_stats.entries_indexed;
   stats_ += idx_stats;
 
@@ -121,41 +138,81 @@ void MiniBatchJoin::CloseWindow(ResultSink* sink) {
   cur_bytes_ = 0;
 }
 
-void MiniBatchJoin::QueryWindowParallel(const BatchIndex& index,
-                                        ResultSink* sink) {
-  const size_t n = cur_.size();
-  const size_t num_chunks = std::min(pool_->num_threads(), n);
-  const size_t per_chunk = (n + num_chunks - 1) / num_chunks;
-  if (chunks_.size() < num_chunks) chunks_.resize(num_chunks);
+void MiniBatchJoin::Probe(const BatchIndex& index, size_t i,
+                          BatchQueryScratch* scratch,
+                          std::vector<ResultPair>* raw) const {
+  raw->clear();
+  if (i < prev_.size()) {
+    index.SelfQuery(prev_, i, scratch, raw);
+  } else {
+    index.Query(cur_[i - prev_.size()], scratch, raw);
+  }
+}
 
-  pool_->ParallelFor(num_chunks, [&](size_t c) {
-    QueryChunk& chunk = chunks_[c];
-    chunk.scratch.stats = RunStats{};
-    chunk.ready.clear();
-    const size_t lo = c * per_chunk;
-    const size_t hi = std::min(n, lo + per_chunk);
-    for (size_t i = lo; i < hi; ++i) {
-      chunk.raw.clear();
-      index.Query(cur_[i], &chunk.scratch, &chunk.raw);
-      // ApplyDecay, off the coordinator's critical path.
-      for (const ResultPair& r : chunk.raw) {
-        ResultPair p;
-        if (ApplyDecay(r, &p)) chunk.ready.push_back(p);
+void MiniBatchJoin::CloseSequential(const BatchIndex& index,
+                                    ResultSink* sink) {
+  // Local, like the index: nothing of the close outlives it.
+  BatchQueryScratch scratch;
+  std::vector<ResultPair> raw;
+  const size_t n = prev_.size() + cur_.size();
+  for (size_t i = 0; i < n; ++i) {
+    Probe(index, i, &scratch, &raw);
+    for (const ResultPair& r : raw) {
+      ResultPair p;
+      if (ApplyDecay(r, &p)) {
+        sink->Emit(p);
+        ++stats_.pairs_emitted;
       }
     }
+  }
+  FoldProbeStats(scratch.stats);
+}
+
+void MiniBatchJoin::CloseParallel(const BatchIndex& index, ThreadPool* pool,
+                                  ResultSink* sink) {
+  // Fine-grained contiguous ranges: later self-queries see longer list
+  // prefixes than earlier ones, so equal shares per thread would leave
+  // threads idle; claiming small ranges one at a time balances the load.
+  constexpr size_t kTasksPerThread = 8;
+  struct Task {
+    std::vector<ResultPair> ready;  // decay-filtered, in probe order
+    RunStats stats;
+  };
+  const size_t n = prev_.size() + cur_.size();
+  std::vector<Task> tasks(std::min(n, pool->num_threads() * kTasksPerThread));
+  ++fanned_out_closes_;
+
+  pool->ParallelFor(tasks.size(), [&](size_t t) {
+    PoolThreadScratch& thread = ThisThreadScratch();
+    thread.scratch.stats = RunStats{};
+    Task& task = tasks[t];
+    const size_t lo = t * n / tasks.size();
+    const size_t hi = (t + 1) * n / tasks.size();
+    for (size_t i = lo; i < hi; ++i) {
+      Probe(index, i, &thread.scratch, &thread.raw);
+      // ApplyDecay, off the coordinator's critical path.
+      for (const ResultPair& r : thread.raw) {
+        ResultPair p;
+        if (ApplyDecay(r, &p)) task.ready.push_back(p);
+      }
+    }
+    task.stats = thread.scratch.stats;
   });
 
-  // Chunks cover contiguous ascending ranges of cur_, so draining them in
-  // chunk order reproduces the sequential arrival-order emission exactly.
-  for (size_t c = 0; c < num_chunks; ++c) {
-    for (const ResultPair& p : chunks_[c].ready) {
+  // Ranges cover [0, n) in ascending order, so draining them in task
+  // order reproduces the sequential emission exactly.
+  for (const Task& task : tasks) {
+    for (const ResultPair& p : task.ready) {
       sink->Emit(p);
       ++stats_.pairs_emitted;
     }
-    RunStats worker_stats = chunks_[c].scratch.stats;
-    worker_stats.pairs_emitted = 0;  // raw pre-decay count; final tally above
-    stats_ += worker_stats;
+    FoldProbeStats(task.stats);
   }
+}
+
+void MiniBatchJoin::FoldProbeStats(RunStats probe_stats) {
+  probe_stats.pairs_emitted = 0;  // raw pre-decay count
+  stats_ += probe_stats;
 }
 
 bool MiniBatchJoin::ApplyDecay(const ResultPair& raw, ResultPair* out) const {
@@ -165,17 +222,6 @@ bool MiniBatchJoin::ApplyDecay(const ResultPair& raw, ResultPair* out) const {
   out->sim = sim;
   out->Canonicalize();
   return true;
-}
-
-void MiniBatchJoin::EmitWithDecay(const std::vector<ResultPair>& raw,
-                                  ResultSink* sink) {
-  for (const ResultPair& r : raw) {
-    ResultPair p;
-    if (ApplyDecay(r, &p)) {
-      sink->Emit(p);
-      ++stats_.pairs_emitted;
-    }
-  }
 }
 
 }  // namespace sssj

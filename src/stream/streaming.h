@@ -35,6 +35,7 @@ class StreamingJoin final : public JoinCore {
 
   // Feeds one arrival; pairs are emitted synchronously. Returns false on a
   // time-order violation (item rejected).
+  using JoinCore::Push;
   bool Push(const StreamItem& x, ResultSink* sink) override {
     if (started_ && x.ts < last_ts_) return false;
     started_ = true;

@@ -72,4 +72,12 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+size_t HardwareThreads() {
+  static const size_t kThreads = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? size_t{1} : static_cast<size_t>(n);
+  }();
+  return kThreads;
+}
+
 }  // namespace sssj

@@ -1,4 +1,4 @@
-// Fixed-size fork/join thread pool for the MiniBatch window-close query
+// Fixed-size fork/join thread pool for the MiniBatch window-close
 // fan-out (stream/minibatch.h).
 //
 // Deliberately minimal: no task queue, no work stealing, no futures. The
@@ -16,6 +16,10 @@
 //
 // A pool of size 1 spawns no threads at all and runs tasks inline, so the
 // sequential configuration carries zero synchronization cost.
+//
+// LazyThreadPool defers even the pool object to the first fork/join that
+// needs it, so services and engines that own one spawn no thread (and
+// allocate nothing) at construction.
 #ifndef SSSJ_UTIL_THREAD_POOL_H_
 #define SSSJ_UTIL_THREAD_POOL_H_
 
@@ -24,6 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -82,6 +88,38 @@ class ThreadPool {
   size_t active_ SSSJ_GUARDED_BY(mu_) = 0;
   std::atomic<size_t> next_task_{0};
   bool stop_ SSSJ_GUARDED_BY(mu_) = false;
+};
+
+// std::thread::hardware_concurrency(), read once per process and at least
+// 1. What a thread count of 0 ("all hardware threads") resolves to.
+size_t HardwareThreads();
+
+// A ThreadPool of a fixed size that is built on the first Get(): owning
+// one costs a few words and no thread until a fork/join actually runs.
+// Get() is safe to call concurrently (std::call_once). Not movable; owners
+// hold it by value and lend it out by pointer.
+class LazyThreadPool {
+ public:
+  // 0 means HardwareThreads(); other values are taken as is.
+  explicit LazyThreadPool(size_t num_threads)
+      : num_threads_(num_threads == 0 ? HardwareThreads() : num_threads) {}
+
+  LazyThreadPool(const LazyThreadPool&) = delete;
+  LazyThreadPool& operator=(const LazyThreadPool&) = delete;
+
+  size_t num_threads() const { return num_threads_; }
+
+  ThreadPool& Get() {
+    std::call_once(once_, [this] {
+      pool_ = std::make_unique<ThreadPool>(num_threads_);
+    });
+    return *pool_;
+  }
+
+ private:
+  const size_t num_threads_;
+  std::once_flag once_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace sssj

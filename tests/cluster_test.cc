@@ -21,6 +21,7 @@
 #include "cluster/wire.h"
 #include "cluster/worker.h"
 #include "core/engine.h"
+#include "stream/minibatch.h"
 #include "tests/test_util.h"
 
 namespace sssj {
@@ -180,6 +181,61 @@ TEST(ClusterEquivalenceTest, PushBatchMatchesInProcess) {
 
   EXPECT_FALSE(in_process.empty());
   ExpectBitwiseEqual(clustered, in_process, "batch");
+}
+
+// ---- fork safety: a fleet forked while MB pools are alive ----
+
+TEST(ClusterForkSafetyTest, FleetForkedBesideLivePoolsMatchesInProcess) {
+  // In-process MB sessions fan their window closes out by default, so by
+  // the time the supervisor forks its workers this process holds live
+  // (idle) pool threads. The forked workers must neither inherit a pool
+  // they would use nor hang, and their output must equal in-process.
+  std::vector<SessionSpec> specs;
+  for (const IndexScheme index : {IndexScheme::kL2, IndexScheme::kL2ap}) {
+    SessionSpec spec;
+    spec.name = std::string("mb-") + ToString(index);
+    spec.config.framework = Framework::kMiniBatch;
+    spec.config.index = index;
+    spec.config.theta = 0.5;
+    spec.config.lambda = 0.02;
+    RandomStreamSpec stream_spec;
+    stream_spec.n = 900;
+    stream_spec.dims = 60;
+    stream_spec.max_nnz = 7;
+    stream_spec.max_gap = 0.2;  // ~350 items per window: closes fan out
+    stream_spec.seed = 91 + specs.size();
+    spec.stream = RandomStream(stream_spec);
+    specs.push_back(std::move(spec));
+  }
+
+  // A standalone engine on the default thread count, kept alive across
+  // the fork, proves a pool really ran in this process.
+  EngineConfig engine_config = specs[0].config.ToEngineConfig();
+  auto engine = *SssjEngine::Make(engine_config);
+  ASSERT_TRUE(engine->PushBatch(specs[0].stream).all_accepted());
+  engine->Flush();
+  if (HardwareThreads() > 1) {
+    ASSERT_GT(dynamic_cast<const MiniBatchJoin&>(engine->core())
+                  .fanned_out_closes(),
+              0u);
+  }
+
+  ClusterClient local{JoinServiceOptions{}};
+  const auto in_process = RunSessions(&local, specs);
+
+  SupervisorOptions options;
+  options.num_workers = 2;
+  Supervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  ClusterClient remote(&supervisor);
+  const auto clustered = RunSessions(&remote, specs);
+  supervisor.Shutdown();
+
+  for (const auto& [name, pairs] : in_process) {
+    ASSERT_TRUE(clustered.count(name)) << name;
+    EXPECT_FALSE(pairs.empty()) << name << ": the pin would be vacuous";
+    ExpectBitwiseEqual(clustered.at(name), pairs, name);
+  }
 }
 
 // ---- pin 2: live migration is bitwise invisible ----

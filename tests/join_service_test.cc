@@ -188,6 +188,33 @@ TEST(JoinServiceTest, InvalidHandleIsNotFound) {
             StatusCode::kNotFound);
 }
 
+TEST(JoinServiceTest, HandleOfAnotherServiceIsNotFound) {
+  JoinService first;
+  JoinService second;
+  CollectorSink sink;
+  auto handle = first.CreateSession({"s", EngineConfig{}, &sink});
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(second.CreateSession({"s", EngineConfig{}, &sink}).ok());
+  EXPECT_EQ(second.Push(*handle, 0.0, UnitVec({{1, 1.0}})).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(second.CloseSession(*handle).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(first.Push(*handle, 0.0, UnitVec({{1, 1.0}})).ok());
+}
+
+TEST(JoinServiceTest, HandleMayOutliveItsService) {
+  JoinService::SessionHandle handle;
+  {
+    JoinService service;
+    CollectorSink sink;
+    auto created = service.CreateSession({"s", EngineConfig{}, &sink});
+    ASSERT_TRUE(created.ok());
+    handle = *created;
+    ASSERT_TRUE(service.Push(handle, 0.0, UnitVec({{1, 1.0}})).ok());
+  }
+  // The service released the engine; the handle only holds a closed husk.
+  EXPECT_TRUE(handle.valid());
+}
+
 TEST(JoinServiceTest, CloseFlushesBufferedMiniBatchResults) {
   // MB buffers up to two windows; CloseSession must drain them into the
   // session's sink, like Flush on a standalone engine.

@@ -181,5 +181,110 @@ TEST(MiniBatchParallelTest, TinyWindowsFallBackToSequentialPath) {
   ExpectBitIdentical(sequential, parallel, 8);
 }
 
+// ---- one fork/join per close: self- and cross-queries together ----
+
+// Windows of a few hundred items, so every close has well over
+// MiniBatchJoin::kMinFanOutItems probes and takes the fan-out.
+Stream BigWindowStream(uint64_t seed) {
+  RandomStreamSpec spec;
+  spec.n = 1500;
+  spec.dims = 60;
+  spec.max_nnz = 7;
+  spec.max_gap = 0.2;  // τ ≈ 35 at λ = 0.02 → ~350 items per window
+  spec.seed = seed;
+  return RandomStream(spec);
+}
+
+struct MbRun {
+  std::vector<ResultPair> pairs;
+  RunStats stats;
+  size_t fanned_out_closes = 0;
+};
+
+MbRun RunMbJoin(MiniBatchJoin* mb, const Stream& stream) {
+  MbRun run;
+  CollectorSink sink;
+  for (const StreamItem& item : stream) EXPECT_TRUE(mb->Push(item, &sink));
+  mb->Flush(&sink);
+  run.pairs = sink.pairs();
+  run.stats = mb->stats();
+  run.fanned_out_closes = mb->fanned_out_closes();
+  return run;
+}
+
+class MiniBatchParallelPoolTest : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(MiniBatchParallelPoolTest, PoolSizesMatchOneThreadBitForBit) {
+  const Scheme scheme = GetParam();
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.5, 0.02, &params));
+  const Stream stream = BigWindowStream(81);
+
+  MiniBatchJoin sequential_mb(params, FactoryFor(scheme, params.theta), 1.0,
+                              /*num_threads=*/1);
+  const MbRun sequential = RunMbJoin(&sequential_mb, stream);
+  ASSERT_FALSE(sequential.pairs.empty());
+  EXPECT_EQ(sequential.fanned_out_closes, 0u);
+  ExpectMatchesOracle(stream, params, sequential.pairs);
+
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    LazyThreadPool pool(threads);
+    MiniBatchJoin mb(params, FactoryFor(scheme, params.theta), 1.0, &pool);
+    const MbRun parallel = RunMbJoin(&mb, stream);
+    ExpectBitIdentical(sequential.pairs, parallel.pairs, threads);
+    EXPECT_EQ(parallel.stats.ToString(), sequential.stats.ToString())
+        << threads << " threads";
+    if (threads > 1) {
+      EXPECT_GT(parallel.fanned_out_closes, 0u)
+          << "the pool path never ran at " << threads << " threads";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, MiniBatchParallelPoolTest,
+                         ::testing::Values(Scheme::kInv, Scheme::kAp,
+                                           Scheme::kL2ap, Scheme::kL2));
+
+TEST(MiniBatchParallelPoolTest, PrivatePoolOfZeroUsesHardwareThreads) {
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.5, 0.02, &params));
+  MiniBatchJoin mb(params, FactoryFor(Scheme::kL2, params.theta), 1.0,
+                   /*num_threads=*/size_t{0});
+  EXPECT_EQ(mb.num_threads(), HardwareThreads());
+}
+
+TEST(MiniBatchParallelPoolTest, EngineDefaultMatchesOneThread) {
+  // EngineConfig::num_threads defaults to every hardware thread; the
+  // output and every counter must equal the num_threads = 1 engine's.
+  const Stream stream = BigWindowStream(82);
+  const auto run = [&](int threads, size_t* fanned_out) {
+    EngineConfig cfg;
+    cfg.framework = Framework::kMiniBatch;
+    cfg.index = IndexScheme::kL2;
+    cfg.theta = 0.5;
+    cfg.lambda = 0.02;
+    if (threads >= 0) cfg.num_threads = threads;
+    CollectorSink sink;
+    auto engine = *SssjEngine::Make(cfg, &sink);
+    EXPECT_TRUE(engine->configuration_notes().empty());
+    EXPECT_TRUE(engine->PushBatch(stream).all_accepted());
+    engine->Flush();
+    *fanned_out =
+        dynamic_cast<const MiniBatchJoin&>(engine->core()).fanned_out_closes();
+    return std::make_pair(sink.pairs(), engine->stats().ToString());
+  };
+  size_t fanned_default = 0;
+  size_t fanned_one = 0;
+  const auto by_default = run(/*threads=*/-1, &fanned_default);
+  const auto one = run(1, &fanned_one);
+  ASSERT_FALSE(one.first.empty());
+  ExpectBitIdentical(one.first, by_default.first, 0);
+  EXPECT_EQ(by_default.second, one.second);
+  EXPECT_EQ(fanned_one, 0u);
+  if (HardwareThreads() > 1) {
+    EXPECT_GT(fanned_default, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace sssj

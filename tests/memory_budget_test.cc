@@ -4,6 +4,8 @@
 // instead of unbounded growth.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -495,6 +497,126 @@ TEST(MemoryBudgetTest, SaveCheckpointOnEvictedSessionReloadsFirst) {
   ASSERT_TRUE((*probe)->LoadCheckpoint(path).ok());
   EXPECT_EQ((*probe)->next_id(), stream.size());
   std::remove(path.c_str());
+}
+
+// Session "<prefix>-a" (MB, migration-enabled) pushes the first half of
+// its stream, then session "<prefix>-b" grows until a is evicted. The
+// mirror engine is fed exactly what a is fed.
+struct EvictedSessionFixture {
+  EngineConfig cfg = MigratableMbConfig();
+  Stream stream = SessionStream(37);
+  size_t half = stream.size() / 2;
+  CollectorSink mirror_sink;
+  std::unique_ptr<SssjEngine> mirror = *SssjEngine::Make(cfg, &mirror_sink);
+  std::unique_ptr<JoinService> service;
+  CollectorSink sink_a;
+  JoinService::SessionHandle a;
+  JoinService::SessionHandle b;
+  RunStats a_stats_before_eviction;
+
+  void PushA(size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(service->Push(a, stream[i].ts, stream[i].vec).ok());
+      ASSERT_TRUE(mirror->Push(stream[i].ts, stream[i].vec).ok());
+    }
+  }
+
+  void SetUp(const std::string& prefix) {
+    size_t one_session_bytes = 0;
+    {
+      auto probe = *SssjEngine::Make(cfg);
+      for (const StreamItem& item : stream) {
+        ASSERT_TRUE(probe->Push(item.ts, item.vec).ok());
+      }
+      one_session_bytes = probe->MemoryBytes();
+    }
+    JoinServiceOptions options;
+    options.memory_budget_bytes = one_session_bytes * 6 / 5;
+    options.spill_dir = ::testing::TempDir();
+    service = std::make_unique<JoinService>(options);
+    auto ha = service->CreateSession({prefix + "-a", cfg, &sink_a});
+    auto hb = service->CreateSession({prefix + "-b", cfg, /*sink=*/nullptr});
+    ASSERT_TRUE(ha.ok()) << ha.status().message();
+    ASSERT_TRUE(hb.ok()) << hb.status().message();
+    a = *ha;
+    b = *hb;
+    PushA(0, half);
+    auto stats = service->SessionStats(a);
+    ASSERT_TRUE(stats.ok());
+    a_stats_before_eviction = *stats;
+    // Growing session b forces dormant session a out.
+    for (const StreamItem& item : stream) {
+      ASSERT_TRUE(service->Push(b, item.ts, item.vec).ok());
+    }
+    ASSERT_TRUE(IsEvicted(0));
+  }
+
+  bool IsEvicted(size_t session_index) const {
+    return service->Stats().sessions.at(session_index).evicted;
+  }
+};
+
+TEST(MemoryBudgetTest, FailedLoadLeavesEvictedSessionEvictedAndIntact) {
+  // A garbage checkpoint offered to an evicted session must fail without
+  // touching its spilled state: the session stays evicted, reloads on
+  // its next push, and its output stays the never-evicted mirror's.
+  EvictedSessionFixture f;
+  ASSERT_NO_FATAL_FAILURE(f.SetUp("load"));
+
+  const std::string garbage = ::testing::TempDir() + "garbage.ckpt";
+  {
+    std::ofstream os(garbage, std::ios::binary);
+    os << "definitely not a checkpoint";
+  }
+  EXPECT_FALSE(f.service->LoadCheckpoint(f.a, garbage).ok());
+  EXPECT_TRUE(f.IsEvicted(0)) << "a failed load must leave the spill in place";
+  std::istringstream truncated(std::string("SSSJENG3", 8));
+  EXPECT_FALSE(f.service->LoadCheckpoint(f.a, truncated).ok());
+  EXPECT_TRUE(f.IsEvicted(0));
+  std::remove(garbage.c_str());
+
+  f.PushA(f.half, f.stream.size());
+  EXPECT_FALSE(f.IsEvicted(0));
+  ASSERT_TRUE(f.service->Flush(f.a).ok());
+  f.mirror->Flush();
+  ASSERT_FALSE(f.mirror_sink.pairs().empty());
+  ::sssj::testing::ExpectSamePairSequence(f.sink_a.pairs(),
+                                          f.mirror_sink.pairs());
+}
+
+TEST(MemoryBudgetTest, GoodLoadIntoEvictedSessionReplacesItsState) {
+  // The success path of the same swap: a valid checkpoint replaces the
+  // evicted session's state and retires its spill.
+  EvictedSessionFixture f;
+  ASSERT_NO_FATAL_FAILURE(f.SetUp("swap"));
+  std::stringstream ckpt;
+  ASSERT_TRUE(f.mirror->SaveCheckpoint(ckpt).ok());
+  ASSERT_TRUE(f.service->LoadCheckpoint(f.a, ckpt).ok());
+  EXPECT_FALSE(f.IsEvicted(0));
+  f.PushA(f.half, f.stream.size());
+  ASSERT_TRUE(f.service->Flush(f.a).ok());
+  f.mirror->Flush();
+  EXPECT_EQ(f.service->Stats().session_reloads, 0u)
+      << "the loaded checkpoint, not the spill, must have been used";
+  ::sssj::testing::ExpectSamePairSequence(f.sink_a.pairs(),
+                                          f.mirror_sink.pairs());
+}
+
+TEST(MemoryBudgetTest, EvictedSessionReportsItsStatsNotTheStandIns) {
+  EvictedSessionFixture f;
+  ASSERT_NO_FATAL_FAILURE(f.SetUp("stats"));
+  ASSERT_GT(f.a_stats_before_eviction.vectors_processed, 0u);
+
+  auto evicted = f.service->SessionStats(f.a);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(evicted->ToString(), f.a_stats_before_eviction.ToString());
+
+  const ServiceStats service_stats = f.service->Stats();
+  const ServiceStats::SessionEntry& entry = service_stats.sessions.at(0);
+  EXPECT_TRUE(entry.evicted);
+  EXPECT_EQ(entry.vectors_processed,
+            f.a_stats_before_eviction.vectors_processed);
+  EXPECT_EQ(entry.pairs_emitted, f.a_stats_before_eviction.pairs_emitted);
 }
 
 }  // namespace
