@@ -7,10 +7,13 @@
 // empty string disables) for the CI bench-smoke key diff.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common/bench_json.h"
@@ -31,6 +34,16 @@
 
 namespace sssj {
 namespace {
+
+// The compiler that built this binary, recorded with the baseline.
+constexpr const char* kCompiler =
+#if defined(__clang__)
+    "clang " __clang_version__;
+#elif defined(__GNUC__)
+    "gcc " __VERSION__;
+#else
+    "unknown";
+#endif
 
 void BM_PostingListAppend(benchmark::State& state) {
   for (auto _ : state) {
@@ -367,6 +380,96 @@ BENCHMARK_TEMPLATE(BM_StreamArrival, StreamInvIndex);
 BENCHMARK_TEMPLATE(BM_StreamArrival, StreamL2Index);
 BENCHMARK_TEMPLATE(BM_StreamArrival, StreamL2apIndex);
 
+// STR-L2 in steady state, the micro twin of perfbench's index rung on
+// its str-longhorizon workload: an RCV1-like stream at θ=0.5, λ=1e-3
+// (τ ≈ 693 items), µs per ProcessArrival once one horizon of the stream
+// has been indexed untimed. The counters record the work per arrival,
+// which index optimizations must leave unchanged.
+void BM_StrL2SteadyState(benchmark::State& state) {
+  DecayParams params;
+  DecayParams::Make(0.5, 1e-3, &params);
+  CorpusSpec spec = MakeProfileSpec(DatasetProfile::kRcv1, 1.0, /*seed=*/1);
+  spec.num_vectors = 4000;
+  Stream stream = CorpusGenerator(spec).Generate();
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].id = i;
+    stream[i].vec.Normalize();
+  }
+  size_t warm = 0;
+  while (warm < stream.size() &&
+         stream[warm].ts - stream[0].ts < params.tau) {
+    ++warm;
+  }
+  if (warm + 1 >= stream.size()) {
+    state.SkipWithError("stream ends within its first horizon");
+    return;
+  }
+
+  StreamL2Index index(params);
+  CountingSink sink;
+  RunStats start;  // the counters when the current timed stretch began
+  uint64_t timed = 0;
+  uint64_t entries = 0;
+  uint64_t candidates = 0;
+  const auto warm_up = [&] {
+    index.Clear();
+    for (size_t i = 0; i < warm; ++i) index.ProcessArrival(stream[i], &sink);
+    start = index.stats();
+  };
+  const auto tally = [&] {
+    entries += index.stats().entries_traversed - start.entries_traversed;
+    candidates +=
+        index.stats().candidates_generated - start.candidates_generated;
+  };
+  warm_up();
+  size_t i = warm;
+  for (auto _ : state) {
+    index.ProcessArrival(stream[i], &sink);
+    ++timed;
+    if (++i == stream.size()) {
+      state.PauseTiming();
+      tally();
+      warm_up();
+      i = warm;
+      state.ResumeTiming();
+    }
+  }
+  tally();
+  state.SetItemsProcessed(static_cast<int64_t>(timed));
+  state.counters["entries_per_arrival"] =
+      static_cast<double>(entries) / static_cast<double>(timed);
+  state.counters["candidates_per_arrival"] =
+      static_cast<double>(candidates) / static_cast<double>(timed);
+}
+BENCHMARK(BM_StrL2SteadyState)->Unit(benchmark::kMicrosecond);
+
+// PostingMap::Find over sorted coordinate runs, as the STR scan issues
+// them: the lists of 2000 RCV1-like vectors are built once, then each
+// iteration looks up every coordinate of the next vector, in dim order.
+void BM_PostingMapFind(benchmark::State& state) {
+  CorpusSpec spec = MakeProfileSpec(DatasetProfile::kRcv1, 1.0, /*seed=*/3);
+  spec.num_vectors = 2000;
+  const Stream stream = CorpusGenerator(spec).Generate();
+  PostingMap lists;
+  for (const StreamItem& item : stream) {
+    for (const Coord& c : item.vec) {
+      lists.Append(c.dim, item.id, c.value, 0.0, item.ts);
+    }
+  }
+  size_t i = 0;
+  int64_t lookups = 0;
+  for (auto _ : state) {
+    for (const Coord& c : stream[i].vec) {
+      benchmark::DoNotOptimize(lists.Find(c.dim));
+    }
+    lookups += static_cast<int64_t>(stream[i].vec.nnz());
+    i = (i + 1) % stream.size();
+  }
+  state.SetItemsProcessed(lookups);
+  state.counters["lists"] = static_cast<double>(lists.size());
+}
+BENCHMARK(BM_PostingMapFind);
+
 // One MemoryBytes() read on a warm engine — what JoinService pays after
 // every push to keep the memory budget current. The running totals make
 // it a few field loads however large the state; `state_bytes` records the
@@ -400,14 +503,22 @@ BENCHMARK_CAPTURE(BM_EngineMemoryBytes, mb_l2, Framework::kMiniBatch,
 
 // Console output plus a JsonValue row per completed run — name, timing,
 // and every user counter (items_per_second, bytes/entry, ...), so the
-// committed BENCH_micro.json baseline pins the full key set.
+// committed BENCH_micro.json baseline pins the full key set. Under
+// --benchmark_repetitions=N (N > 1) only the median row of each
+// benchmark is kept, under the benchmark's own name.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
  public:
+  explicit JsonCaptureReporter(int reps) : reps_(reps) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
+      if (reps_ > 1 && (run.run_type != Run::RT_Aggregate ||
+                        run.aggregate_name != "median")) {
+        continue;
+      }
       JsonValue row = JsonValue::Object();
-      row.Set("name", run.benchmark_name())
+      row.Set("name", run.run_name.str())
           .Set("iterations", static_cast<uint64_t>(run.iterations))
           .Set("real_time", run.GetAdjustedRealTime())
           .Set("cpu_time", run.GetAdjustedCPUTime())
@@ -424,33 +535,45 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   JsonValue TakeRows() { return std::move(rows_); }
 
  private:
+  int reps_;
   JsonValue rows_ = JsonValue::Array();
 };
 
 int Main(int argc, char** argv) {
   // Peel off --json-out before google-benchmark sees (and rejects) it.
+  // --benchmark_repetitions is google-benchmark's own; it is read here
+  // too, to be recorded with the baseline.
   std::string json_out = "BENCH_micro.json";
+  int reps = 1;
   std::vector<char*> passthrough;
-  std::string json_flag_storage;
   for (int i = 0; i < argc; ++i) {
     const char* kFlag = "--json-out=";
+    const char* kReps = "--benchmark_repetitions=";
     if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
       json_out = argv[i] + std::strlen(kFlag);
-    } else {
-      passthrough.push_back(argv[i]);
+      continue;
     }
+    if (std::strncmp(argv[i], kReps, std::strlen(kReps)) == 0) {
+      reps = std::max(1, std::atoi(argv[i] + std::strlen(kReps)));
+    }
+    passthrough.push_back(argv[i]);
   }
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
     return 1;
   }
-  JsonCaptureReporter reporter;
+  JsonCaptureReporter reporter(reps);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!json_out.empty()) {
     JsonValue doc = JsonValue::Object();
-    doc.Set("bench", "micro_components").Set("runs", reporter.TakeRows());
+    doc.Set("bench", "micro_components")
+        .Set("hardware_threads",
+             static_cast<uint64_t>(std::thread::hardware_concurrency()))
+        .Set("compiler", kCompiler)
+        .Set("reps", static_cast<uint64_t>(reps))
+        .Set("runs", reporter.TakeRows());
     const Status status = WriteJsonFile(doc, json_out);
     if (!status.ok()) {
       std::cerr << "warning: " << status.ToString() << "\n";

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/result.h"
@@ -94,6 +95,26 @@ inline void L2ComputePrefixNorms(const SparseVector& v,
     (*out)[i] = std::sqrt(sq);
     sq += v.coord(i).value * v.coord(i).value;
   }
+}
+
+// ---- Remscore admission horizon ----
+// The largest Δt = x.ts − y.ts at which a fresh candidate can still pass
+// the remscore admission bound rs2·e^{−λΔt} ≥ θ' (θ' = θ·(1 − kBoundSlack),
+// BoundAtLeast's threshold). In a time-sorted list walked newest first,
+// every posting past the first one with Δt > horizon can only update a
+// candidate that is already live, so the generate scan splits its walk
+// there. The split is exact: the 1e-9 added in the log domain dwarfs every
+// rounding error on either side of the comparison (a few ulp in the log,
+// the division and the product λΔt, and ≤ 1e-12 relative in std::exp or
+// kernels::DecayOne), so no posting the per-posting check would admit
+// ever lies past the horizon. Never NaN: rs2 = 0 gives −∞ (nothing can be
+// admitted), and λ = 0 gives ±∞ by the sign of the log-domain margin.
+inline double L2AdmitHorizon(double rs2, double theta, double lambda) {
+  const double margin =
+      std::log(rs2 / (theta * (1.0 - kBoundSlack))) + 1e-9;
+  if (lambda > 0.0) return margin / lambda;
+  const double inf = std::numeric_limits<double>::infinity();
+  return margin < 0.0 ? -inf : inf;
 }
 
 // ---- Candidate verification (Algorithm 8, green lines) ----

@@ -246,4 +246,27 @@ void PostingList::FreezeFront(size_t n, ValueTier tier, bool compress) {
   store_.TruncateFront(n);
 }
 
+PostingList& PostingMap::Create(DimId dim) {
+  assert(size_ < UINT32_MAX);
+  if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
+  if (size_ == list_capacity()) {
+    chunks_.push_back(std::make_unique<Entry[]>(kChunkLists));
+  }
+  Entry& e = At(size_);
+  e.dim = dim;
+  slots_[Probe(dim)] = Slot{dim, static_cast<uint32_t>(++size_)};
+  return e.list;
+}
+
+void PostingMap::Grow() {
+  constexpr size_t kInitialSlots = 64;
+  slots_.assign(slots_.empty() ? kInitialSlots : slots_.size() * 2, Slot{});
+  shift_ = 64;
+  for (size_t n = slots_.size(); n > 1; n >>= 1) --shift_;
+  for (size_t i = 0; i < size_; ++i) {
+    const DimId dim = At(i).dim;
+    slots_[Probe(dim)] = Slot{dim, static_cast<uint32_t>(i + 1)};
+  }
+}
+
 }  // namespace sssj

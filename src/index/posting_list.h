@@ -34,7 +34,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "core/types.h"
@@ -511,34 +512,80 @@ class BatchPostingList {
 // for NoteScanned and the const walks, never to change its entries.
 // The tiered storage options live here too, since Append is where lists
 // freeze.
+//
+// Lookup is a flat open-addressing directory with linear probing, at
+// most 3/4 full; each 8-byte slot holds a dim and its list's insertion
+// position. A dim's home slot is the top bits of dim × 2^64/φ (Fibonacci
+// hashing), not `dim & mask`: dims are Zipfian, so the frequent low dims
+// fill one contiguous run of slots, and under `dim & mask` every higher
+// dim aliasing into that run, present or absent, probed to its end (STR-L2
+// ran 2.2x slower than with the std::unordered_map this replaced on a
+// 625-item RCV1-like stream). The lists themselves live in fixed-size
+// chunks that never move, so a PostingList* stays valid while the
+// directory grows, and iteration visits the lists in insertion order.
+// Nothing is allocated before the first insert.
 class PostingMap {
  public:
-  using Map = std::unordered_map<DimId, PostingList>;
+  struct Entry {
+    DimId dim = 0;
+    PostingList list;
+  };
+
+  // A directory slot: `pos` is 1 + the list's insertion index, 0 = empty.
+  struct Slot {
+    DimId dim = 0;
+    uint32_t pos = 0;
+  };
+
+  // Lists per chunk. A chunk is allocated whole, so this is also the
+  // most list objects the map holds unused.
+  static constexpr size_t kChunkLists = 16;
+
+  // Forward iteration over the entries in insertion order.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Entry;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Entry*;
+    using reference = const Entry&;
+
+    const Entry& operator*() const { return map_->At(i_); }
+    const Entry* operator->() const { return &map_->At(i_); }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    friend class PostingMap;
+    const_iterator(const PostingMap* map, size_t i) : map_(map), i_(i) {}
+    const PostingMap* map_;
+    size_t i_;
+  };
 
   explicit PostingMap(const TieredStorageOptions& tiered = {})
       : tiered_(tiered) {}
 
   // dim's list, or nullptr when dim was never indexed.
   PostingList* Find(DimId dim) {
-    auto it = lists_.find(dim);
-    return it == lists_.end() ? nullptr : &it->second;
+    if (slots_.empty()) return nullptr;
+    const Slot& s = slots_[Probe(dim)];
+    return s.pos == 0 ? nullptr : &At(s.pos - 1).list;
   }
 
   // dim's list, created empty on first use.
-  PostingList* FindOrCreate(DimId dim) {
-    auto [it, inserted] = lists_.try_emplace(dim);
-    if (inserted) list_bytes_ += it->second.memory_bytes();
-    return &it->second;
-  }
+  PostingList* FindOrCreate(DimId dim) { return &Insert(dim); }
 
   // Appends one posting to dim's list (created on first use), then lets
   // the list freeze its cold tail; `tick` is the index's arrival counter
   // for the scan-rate classifier (PostingList::MaybeFreeze).
   void Append(DimId dim, VectorId id, double value, double prefix_norm,
               Timestamp ts, uint64_t tick = 0) {
-    auto [it, inserted] = lists_.try_emplace(dim);
-    PostingList& list = it->second;
-    const size_t before = inserted ? 0 : list.memory_bytes();
+    PostingList& list = Insert(dim);
+    const size_t before = list.memory_bytes();
     list.Append(id, value, prefix_norm, ts);
     list.MaybeFreeze(tiered_, tick);
     list_bytes_ += list.memory_bytes() - before;
@@ -559,33 +606,77 @@ class PostingMap {
     return removed;
   }
 
+  // Drops every list and releases the directory and the chunks.
   void Clear() {
-    lists_.clear();
+    slots_ = std::vector<Slot>();
+    shift_ = 64;
+    chunks_ = std::vector<std::unique_ptr<Entry[]>>();
+    size_ = 0;
     list_bytes_ = 0;
   }
 
-  size_t size() const { return lists_.size(); }
-  size_t bucket_count() const { return lists_.bucket_count(); }
-  Map::const_iterator begin() const { return lists_.begin(); }
-  Map::const_iterator end() const { return lists_.end(); }
+  size_t size() const { return size_; }
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, size_); }
 
-  // Allocated footprint: the bucket array, per list its map node (key,
-  // pair padding, and the chaining links, approximated at two pointers)
-  // and the list's own memory_bytes(). Capacity, not payload — the
-  // signal the tiering budget acts on.
+  // Introspection for the accounting tests: directory slots, chunk-table
+  // capacity, and list objects the chunks hold (used or not).
+  size_t directory_capacity() const { return slots_.capacity(); }
+  size_t chunk_table_capacity() const { return chunks_.capacity(); }
+  size_t list_capacity() const { return chunks_.size() * kChunkLists; }
+
+  // Allocated footprint: the directory, the chunk table, every chunk
+  // whole (the list objects live there), and what each list holds beyond
+  // its object. Capacity, not payload — the signal the tiering budget
+  // acts on.
   size_t MemoryBytes() const {
-    return lists_.bucket_count() * sizeof(void*) +
-           lists_.size() * kNodeOverheadBytes + list_bytes_;
+    return slots_.capacity() * sizeof(Slot) +
+           chunks_.capacity() * sizeof(std::unique_ptr<Entry[]>) +
+           list_capacity() * sizeof(Entry) + list_bytes_;
   }
 
  private:
-  // Per-list map node bytes beyond the PostingList object itself.
-  static constexpr size_t kNodeOverheadBytes =
-      sizeof(Map::value_type) - sizeof(PostingList) + 2 * sizeof(void*);
+  Entry& At(size_t i) { return chunks_[i / kChunkLists][i % kChunkLists]; }
+  const Entry& At(size_t i) const {
+    return chunks_[i / kChunkLists][i % kChunkLists];
+  }
+
+  // The slot holding dim, or the empty slot where it would go. Requires
+  // a non-empty directory (which always has an empty slot: Create keeps
+  // it at most 3/4 full).
+  size_t Probe(DimId dim) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>((uint64_t{dim} * kFibonacci) >> shift_);
+    while (slots_[i].pos != 0 && slots_[i].dim != dim) i = (i + 1) & mask;
+    return i;
+  }
+
+  // dim's list, created empty on first use.
+  PostingList& Insert(DimId dim) {
+    if (!slots_.empty()) {
+      const Slot& s = slots_[Probe(dim)];
+      if (s.pos != 0) return At(s.pos - 1).list;
+    }
+    return Create(dim);
+  }
+
+  // Adds an empty list for an absent dim, growing the directory and the
+  // chunks as needed.
+  PostingList& Create(DimId dim);
+  // Allocates the directory (first call) or doubles it, re-placing every
+  // list in insertion order.
+  void Grow();
+
+  static constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;  // 2^64/φ
 
   TieredStorageOptions tiered_;
-  Map lists_;
-  size_t list_bytes_ = 0;  // Σ memory_bytes() over lists_
+  std::vector<Slot> slots_;                      // power of two, or empty
+  unsigned shift_ = 64;                          // 64 − log2(slots_.size())
+  std::vector<std::unique_ptr<Entry[]>> chunks_;  // kChunkLists entries each
+  size_t size_ = 0;                              // lists created
+  // Σ over the lists of memory_bytes() − sizeof(PostingList): what they
+  // hold outside their chunk.
+  size_t list_bytes_ = 0;
 };
 
 }  // namespace sssj

@@ -60,20 +60,38 @@ void SetError(std::string* error, const std::string& msg) {
 // so the expired run at the front of each list is located by one binary
 // search on the `ts` column and truncated; the live remainder is then
 // walked newest → oldest over raw per-column pointers, accumulating
-// dot-product contributions into cands_. Each posting costs one
-// accumulator probe: a final (pruned) slot is skipped before any other
-// work, and the candidate's decay is evaluated once, on first touch, and
-// cached in its slot (every posting of a candidate carries the
-// candidate's own ts, so the cached value is the one a per-posting
-// evaluation would produce, bit for bit). The `id` column is read
-// densely; `ts`, `value` and `prefix_norm` are only touched for unpruned
-// candidates.
+// dot-product contributions into cands_.
+//
+// Each walk is split at the remscore admission horizon of its coordinate
+// (L2AdmitHorizon), computed at the walk's first remscore rejection: the
+// split is the first posting with x.ts − ts > horizon, found by binary
+// search on the `ts` column of the span that holds it. Before the split
+// each posting costs one accumulator probe: a final (pruned) slot
+// is skipped before any other work, and a fresh one has its decay
+// evaluated once and cached in its slot (every posting of a candidate
+// carries the candidate's own ts, so the cached value is the one a
+// per-posting evaluation would produce, bit for bit). Past the split no
+// fresh candidate can pass remscore, so a posting only matters if its id
+// is already live: live_ counts the live candidates per `id & mask`
+// slot, and a zero there skips the posting with no probe, no slot and no
+// exp. A non-zero count probes cands_; a fresh or pruned slot found there
+// is marked pruned, which is what the per-posting check would have done.
+// Every posting still counts in entries_traversed, so the work counters
+// match the unsplit walk exactly. The `id` column is read densely; `ts`,
+// `value` and `prefix_norm` are only touched for unpruned candidates.
 void StreamL2Index::GenerateCandidates(const StreamItem& x, Timestamp cutoff,
                                        L2PhaseStats* stats) {
   const SparseVector& v = x.vec;
   const size_t n = v.nnz();
   const bool kernel_exp = kernel_.use_simd;
   double rst = v.norm() * v.norm();
+  // live_ is all zero again once the previous arrival's admissions are
+  // cleared; an arrival that admitted nothing left nothing to clear.
+  if (live_.empty()) {
+    live_.assign(kLiveSlots, 0);
+  } else if (cands_.admitted() > 0) {
+    std::fill(live_.begin(), live_.end(), 0);
+  }
   cands_.Reset();
   for (size_t i = n; i-- > 0;) {  // reverse coordinate order
     const Coord& c = v.coord(i);
@@ -86,14 +104,50 @@ void StreamL2Index::GenerateCandidates(const StreamItem& x, Timestamp cutoff,
     if (list.empty()) continue;
     const size_t expired = list.LowerBoundTs(cutoff);
     if (expired > 0) NotePruned(lists_.TruncateFront(&list, expired));
+    // Adds the posting's contribution to a live candidate, then applies
+    // the l2bound early prune.
+    auto accumulate = [&](CandidateMap::Slot* slot, const PostingSpan& sp,
+                          size_t k) {
+      slot->score += c.value * sp.value[k];
+      if (options_.use_l2bound) {
+        const double l2bound =
+            slot->score + prefix_norms_[i] * sp.prefix_norm[k] * slot->decay;
+        if (!BoundAtLeast(l2bound, params_.theta)) {
+          slot->score = CandidateMap::kPruned;
+          --live_[slot->id & kLiveMask];
+          ++stats->l2_prunes;
+        }
+      }
+    };
+    // The horizon is computed at the walk's first remscore rejection, so
+    // a walk that rejects nothing (a short list, or remscore disabled)
+    // pays no log.
+    double horizon = 0.0;
+    bool have_horizon = false;
+    bool past_horizon = false;  // a newer span already reached the split
+    // Span entries are oldest first: the first index of [0, end) that
+    // lies before the horizon.
+    auto split_of = [&](const PostingSpan& sp, size_t end) {
+      const Timestamp* first_before = std::partition_point(
+          sp.ts, sp.ts + end,
+          [&](Timestamp t) { return x.ts - t > horizon; });
+      return static_cast<size_t>(first_before - sp.ts);
+    };
     // The block-cursor walk hands out the hot tail's raw segments first,
     // then decompresses cold frozen blocks one at a time into the kernel
     // scratch — the entry visit order (and so per-candidate FP
     // accumulation) is identical to the untiered two-segment scan.
     list.ForSpansNewestFirst(
         0, list.size(), &kernel_.posting, [&](const PostingSpan& sp) {
-      for (size_t k = sp.len; k-- > 0;) {  // newest entry first
-        ++stats->entries_traversed;
+      stats->entries_traversed += sp.len;
+      // [0, split) lie past the horizon, [split, len) before it.
+      size_t split = 0;
+      if (past_horizon) {
+        split = sp.len;
+      } else if (have_horizon) {
+        split = split_of(sp, sp.len);
+      }
+      for (size_t k = sp.len; k-- > split;) {  // newest entry first
         CandidateMap::Slot* slot = cands_.FindOrCreate(sp.id[k]);
         if (slot->score < 0.0) continue;  // pruned: final
         if (slot->score == 0.0) {         // first touch
@@ -108,21 +162,29 @@ void StreamL2Index::GenerateCandidates(const StreamItem& x, Timestamp cutoff,
           if (options_.use_remscore_bound &&
               !BoundAtLeast(rs2 * slot->decay, params_.theta)) {
             slot->score = CandidateMap::kPruned;
+            if (!have_horizon) {
+              horizon = L2AdmitHorizon(rs2, params_.theta, params_.lambda);
+              have_horizon = true;
+              split = split_of(sp, k);
+            }
             continue;
           }
           slot->ts = sp.ts[k];
           cands_.NoteAdmitted();
+          ++live_[sp.id[k] & kLiveMask];
           ++stats->candidates_generated;
         }
-        slot->score += c.value * sp.value[k];
-        if (options_.use_l2bound) {
-          const double l2bound =
-              slot->score + prefix_norms_[i] * sp.prefix_norm[k] * slot->decay;
-          if (!BoundAtLeast(l2bound, params_.theta)) {
-            slot->score = CandidateMap::kPruned;
-            ++stats->l2_prunes;
-          }
+        accumulate(slot, sp, k);
+      }
+      if (split > 0) past_horizon = true;
+      for (size_t k = split; k-- > 0;) {  // past the horizon: live ids only
+        if (live_[sp.id[k] & kLiveMask] == 0) continue;
+        CandidateMap::Slot* slot = cands_.FindOrCreate(sp.id[k]);
+        if (slot->score <= 0.0) {  // remscore would reject a fresh id here
+          slot->score = CandidateMap::kPruned;
+          continue;
         }
+        accumulate(slot, sp, k);
       }
     });
   }

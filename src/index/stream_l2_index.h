@@ -83,12 +83,18 @@ class StreamL2Index : public StreamIndex {
   void GenerateCandidates(const StreamItem& x, Timestamp cutoff,
                           L2PhaseStats* stats);
 
+  // Live-candidate counters per `id & kLiveMask` (see GenerateCandidates):
+  // 16 KiB, so the past-horizon filter stays in L1.
+  static constexpr size_t kLiveSlots = 4096;
+  static constexpr VectorId kLiveMask = kLiveSlots - 1;
+
   DecayParams params_;
   L2IndexOptions options_;
   L2KernelState kernel_;  // kernel selection + decay + thaw scratch
   PostingMap lists_;
   ResidualStore residuals_;
   CandidateMap cands_;
+  std::vector<uint32_t> live_;        // scratch, allocated on first use
   std::vector<double> prefix_norms_;  // scratch
 };
 

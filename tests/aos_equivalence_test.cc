@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "data/profiles.h"
 #include "index/candidate_map.h"
 #include "index/l2_phases.h"
 #include "index/max_vector.h"
@@ -84,9 +85,18 @@ class AosInvIndex {
 };
 
 // ---- Seed-faithful AoS STR-L2 (original per-entry generate loop) ----
+// Also counts its work the way RunStats does, so the production index's
+// counters can be pinned next to its pairs, and counts the postings that
+// lie past the remscore admission horizon (L2AdmitHorizon), so a pin can
+// show that the production split was exercised.
 class AosL2Index {
  public:
-  explicit AosL2Index(const DecayParams& params) : params_(params) {}
+  explicit AosL2Index(const DecayParams& params,
+                      const L2IndexOptions& options = {})
+      : params_(params), options_(options) {}
+
+  const L2PhaseStats& stats() const { return stats_; }
+  uint64_t past_horizon() const { return past_horizon_; }
 
   void ProcessArrival(const StreamItem& x, std::vector<ResultPair>* out) {
     const SparseVector& v = x.vec;
@@ -101,6 +111,8 @@ class AosL2Index {
     for (size_t i = n; i-- > 0;) {
       const Coord& c = v.coord(i);
       const double rs2 = std::sqrt(std::max(rst, 0.0));
+      const double horizon =
+          L2AdmitHorizon(rs2, params_.theta, params_.lambda);
       auto it = lists_.find(c.dim);
       if (it != lists_.end()) {
         AosList& list = it->second;
@@ -111,28 +123,34 @@ class AosL2Index {
             list.erase(list.begin(), list.begin() + idx + 1);
             break;
           }
+          ++stats_.entries_traversed;
+          if (x.ts - e.ts > horizon) ++past_horizon_;
           const double decay = std::exp(-params_.lambda * (x.ts - e.ts));
           CandidateMap::Slot* slot = cands_.FindOrCreate(e.id);
           if (slot->score < 0.0) continue;
           if (slot->score == 0.0) {
-            if (!BoundAtLeast(rs2 * decay, params_.theta)) continue;
+            if (options_.use_remscore_bound &&
+                !BoundAtLeast(rs2 * decay, params_.theta)) {
+              continue;
+            }
             slot->ts = e.ts;
             cands_.NoteAdmitted();
+            ++stats_.candidates_generated;
           }
           slot->score += c.value * e.value;
           const double l2bound =
               slot->score + prefix_norms_[i] * e.prefix_norm * decay;
-          if (!BoundAtLeast(l2bound, params_.theta)) {
+          if (options_.use_l2bound && !BoundAtLeast(l2bound, params_.theta)) {
             slot->score = CandidateMap::kPruned;
+            ++stats_.l2_prunes;
           }
         }
       }
       rst -= c.value * c.value;
     }
 
-    L2PhaseStats unused;
-    L2VerifyCandidates(x, params_, L2IndexOptions{}, cands_, residuals_,
-                       /*kernel=*/nullptr, &unused,
+    L2VerifyCandidates(x, params_, options_, cands_, residuals_,
+                       /*kernel=*/nullptr, &stats_,
                        [out](const ResultPair& p) { out->push_back(p); });
 
     const L2IndexSplit split = L2ComputeIndexSplit(v, params_.theta);
@@ -148,10 +166,13 @@ class AosL2Index {
 
  private:
   DecayParams params_;
+  L2IndexOptions options_;
   std::unordered_map<DimId, AosList> lists_;
   ResidualStore residuals_;
   CandidateMap cands_;
   std::vector<double> prefix_norms_;
+  L2PhaseStats stats_;
+  uint64_t past_horizon_ = 0;
 };
 
 // ---- Seed-faithful AoS STR-L2AP (forward scan + in-place compaction) ----
@@ -436,6 +457,155 @@ TEST(AosEquivalenceTest, StrL2apOutputBitIdenticalToAos) {
     ExpectBitIdentical(sink.pairs(), ref, "STR-L2AP");
     EXPECT_FALSE(ref.empty()) << "vacuous pin (no pairs emitted)";
   }
+}
+
+// ---- STR-L2 work counters, and the streams that drive the horizon split ----
+
+struct L2PinRun {
+  L2PhaseStats aos;
+  RunStats soa;
+  uint64_t past_horizon = 0;
+  size_t pairs = 0;
+};
+
+// Runs the production STR-L2 index and the unsplit AoS reference on one
+// stream: pairs bit for bit, and every generate/verify counter equal.
+L2PinRun RunL2Pin(const Stream& stream, const DecayParams& params,
+                  const L2IndexOptions& options,
+                  const TieredStorageOptions& tiered, const char* what) {
+  StreamL2Index soa(params, options, /*use_simd=*/false, tiered);
+  AosL2Index aos(params, options);
+  CollectorSink sink;
+  std::vector<ResultPair> ref;
+  for (const StreamItem& item : stream) {
+    soa.ProcessArrival(item, &sink);
+    aos.ProcessArrival(item, &ref);
+  }
+  ExpectBitIdentical(sink.pairs(), ref, what);
+  const RunStats& got = soa.stats();
+  const L2PhaseStats& want = aos.stats();
+  EXPECT_EQ(got.entries_traversed, want.entries_traversed) << what;
+  EXPECT_EQ(got.candidates_generated, want.candidates_generated) << what;
+  EXPECT_EQ(got.l2_prunes, want.l2_prunes) << what;
+  EXPECT_EQ(got.verify_calls, want.verify_calls) << what;
+  EXPECT_EQ(got.full_dots, want.full_dots) << what;
+  EXPECT_EQ(got.pairs_emitted, want.pairs_emitted) << what;
+  EXPECT_GT(want.entries_traversed, 0u) << what << ": vacuous pin";
+  return L2PinRun{want, got, aos.past_horizon(), ref.size()};
+}
+
+// RCV1-like stream, 600 items 0.01 apart, for θ = 0.6, λ = 0.5
+// (τ ≈ 1.02, about 100 live items). Long vectors over Zipfian dims, as in
+// the paper's long-list regime: about three quarters of the postings
+// walked lie past the split.
+Stream DenseStream(uint64_t seed) {
+  Stream stream = GenerateProfile(DatasetProfile::kRcv1, 0.24, seed);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].ts = 0.01 * static_cast<Timestamp>(i);
+  }
+  return stream;
+}
+
+DecayParams DenseParams() {
+  DecayParams params;
+  EXPECT_TRUE(DecayParams::Make(0.6, 0.5, &params));
+  return params;
+}
+
+TEST(AosEquivalenceTest, StrL2CountersMatchAos) {
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.05, &params));
+  for (uint64_t seed : {21u, 22u}) {
+    const L2PinRun run =
+        RunL2Pin(PinStream(seed), params, {}, {}, "STR-L2 counters");
+    EXPECT_GT(run.pairs, 0u);
+  }
+}
+
+TEST(AosEquivalenceTest, StrL2ShortHorizonMatchesAos) {
+  const DecayParams params = DenseParams();
+  const L2PinRun run =
+      RunL2Pin(DenseStream(41), params, {}, {}, "STR-L2 short horizon");
+  EXPECT_GT(run.pairs, 0u);
+  EXPECT_GT(2 * run.past_horizon, run.aos.entries_traversed)
+      << "most postings must lie past the split";
+}
+
+TEST(AosEquivalenceTest, StrL2AliasedLiveSlotsMatchAos) {
+  // Ids stepped by 4096 all share one live-counter slot (and one
+  // candidate-map home slot), so every past-horizon posting probes.
+  const DecayParams params = DenseParams();
+  Stream stream = DenseStream(42);
+  for (StreamItem& item : stream) item.id *= 4096;
+  const L2PinRun run =
+      RunL2Pin(stream, params, {}, {}, "STR-L2 aliased ids");
+  EXPECT_GT(run.pairs, 0u);
+  EXPECT_GT(run.past_horizon, 0u);
+}
+
+TEST(AosEquivalenceTest, StrL2WithoutRemscoreMatchesAos) {
+  const DecayParams params = DenseParams();
+  L2IndexOptions options;
+  options.use_remscore_bound = false;
+  const L2PinRun run =
+      RunL2Pin(DenseStream(43), params, options, {}, "STR-L2 no remscore");
+  EXPECT_GT(run.pairs, 0u);
+  EXPECT_GT(run.aos.candidates_generated, 0u);
+}
+
+TEST(AosEquivalenceTest, StrL2TieredListsMatchAos) {
+  // Small blocks: most of every walk lies in frozen spans (compressed and
+  // raw), so the split has to carry from one span to the next.
+  const DecayParams params = DenseParams();
+  TieredStorageOptions tiered;
+  tiered.enabled = true;
+  tiered.block_entries = 4;
+  tiered.hot_tail_entries = 4;
+  tiered.dormant_tail_entries = 2;
+  tiered.dormant_after_appends = 3;
+  tiered.cold_freeze_quantum = 4;
+  const L2PinRun run =
+      RunL2Pin(DenseStream(44), params, {}, tiered, "STR-L2 tiered");
+  EXPECT_GT(run.pairs, 0u);
+  EXPECT_GT(2 * run.past_horizon, run.aos.entries_traversed);
+}
+
+TEST(AosEquivalenceTest, StrL2NoDecayMatchesAos) {
+  // λ = 0: τ = ∞ and the horizon is ±∞, never NaN.
+  DecayParams params;
+  ASSERT_TRUE(DecayParams::Make(0.6, 0.0, &params));
+  const L2PinRun run =
+      RunL2Pin(PinStream(45), params, {}, {}, "STR-L2 lambda=0");
+  EXPECT_GT(run.pairs, 0u);
+}
+
+TEST(AosEquivalenceTest, StrL2EqualTimestampsMatchAos) {
+  // Δt = 0 between the items of one batch of eight.
+  const DecayParams params = DenseParams();
+  Stream stream = DenseStream(46);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].ts = 0.08 * static_cast<Timestamp>(i / 8);
+  }
+  const L2PinRun run =
+      RunL2Pin(stream, params, {}, {}, "STR-L2 equal timestamps");
+  EXPECT_GT(run.pairs, 0u);
+}
+
+TEST(AosEquivalenceTest, StrL2LowNormQueriesMatchAos) {
+  // Every third item is scaled below θ: its rs2 < θ' from the first
+  // coordinate on, so its horizon is negative and its whole walk lies
+  // past the split.
+  const DecayParams params = DenseParams();
+  Stream stream = DenseStream(47);
+  for (size_t i = 0; i < stream.size(); i += 3) {
+    std::vector<Coord> coords(stream[i].vec.begin(), stream[i].vec.end());
+    for (Coord& c : coords) c.value *= 0.59;
+    stream[i].vec = ::sssj::testing::RawVec(std::move(coords));
+  }
+  const L2PinRun run =
+      RunL2Pin(stream, params, {}, {}, "STR-L2 low-norm queries");
+  EXPECT_GT(run.pairs, 0u);
+  EXPECT_GT(run.past_horizon, 0u);
 }
 
 }  // namespace

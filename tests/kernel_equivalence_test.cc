@@ -19,12 +19,13 @@ namespace {
 
 std::vector<ResultPair> RunEngine(Framework fw, IndexScheme ix,
                                   KernelMode kernel, int threads,
-                                  const Stream& stream) {
+                                  const Stream& stream, double theta = 0.7,
+                                  double lambda = 0.01) {
   EngineConfig cfg;
   cfg.framework = fw;
   cfg.index = ix;
-  cfg.theta = 0.7;
-  cfg.lambda = 0.01;
+  cfg.theta = theta;
+  cfg.lambda = lambda;
   cfg.kernel = kernel;
   cfg.num_threads = threads;
   cfg.normalize_inputs = false;  // profile streams are unit already
@@ -124,6 +125,25 @@ TEST_F(KernelEquivalenceTest, StreamingL2SamePairSetWithinTolerance) {
                               KernelMode::kSimd, 1, stream);
   EXPECT_FALSE(scalar.empty()) << "degenerate test input";
   ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/false, "STR-L2");
+}
+
+// Short horizon: RCV1-like items 0.01 apart at λ = 0.5 (τ ≈ 100 items),
+// so about three quarters of every walk lies past the remscore admission
+// horizon, where the generate scan admits nothing new. The split's
+// log-domain margin must cover DecayOne's error as it covers std::exp's.
+TEST_F(KernelEquivalenceTest, StreamingL2ShortHorizonSamePairSet) {
+  Stream stream = GenerateProfile(DatasetProfile::kRcv1, /*scale=*/0.24,
+                                  /*seed=*/7);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].ts = 0.01 * static_cast<Timestamp>(i);
+  }
+  const auto scalar = RunEngine(Framework::kStreaming, IndexScheme::kL2,
+                                KernelMode::kScalar, 1, stream, 0.6, 0.5);
+  const auto simd = RunEngine(Framework::kStreaming, IndexScheme::kL2,
+                              KernelMode::kSimd, 1, stream, 0.6, 0.5);
+  EXPECT_FALSE(scalar.empty()) << "degenerate test input";
+  ExpectSamePairs(scalar, simd, /*expect_bit_identical=*/false,
+                  "STR-L2 short horizon");
 }
 
 TEST_F(KernelEquivalenceTest, StreamingL2apSamePairSetWithinTolerance) {

@@ -107,10 +107,10 @@ TEST(MemoryTest, PostingListCountsAllocatedCapacityNotJustSize) {
   EXPECT_GE(list.memory_bytes(), sizeof(PostingList));
 }
 
-TEST(MemoryTest, PostingMapCountsNodeAndBucketOverhead) {
-  // An unordered_map of 200 near-empty lists costs far more than the sum
-  // of the lists alone: each node carries the key, hash link, and heap
-  // header, and the bucket array is resident too.
+TEST(MemoryTest, PostingMapCountsDirectoryAndChunkOverhead) {
+  // 200 near-empty lists cost more than the lists alone: the directory
+  // is resident, every list object sits in a whole chunk next to its dim
+  // key, and the chunk table points at the chunks.
   PostingMap map;
   size_t lists_only = 0;
   for (DimId d = 0; d < 200; ++d) {
@@ -119,9 +119,14 @@ TEST(MemoryTest, PostingMapCountsNodeAndBucketOverhead) {
   for (const auto& [dim, list] : map) lists_only += list.memory_bytes();
   const size_t total = map.MemoryBytes();
   EXPECT_GT(total, lists_only);
-  // At minimum: one pointer per bucket plus a node header per entry.
-  EXPECT_GE(total - lists_only,
-            map.bucket_count() * sizeof(void*) + map.size() * 2 * sizeof(void*));
+  // 200 lists at most 3/4 full: 512 slots; 13 chunks of 16 lists.
+  EXPECT_EQ(map.directory_capacity(), 512u);
+  EXPECT_EQ(map.list_capacity(), 208u);
+  EXPECT_GE(map.chunk_table_capacity(), 13u);
+  EXPECT_EQ(total - lists_only,
+            512 * sizeof(PostingMap::Slot) +
+                map.chunk_table_capacity() * sizeof(void*) +
+                208 * sizeof(PostingMap::Entry) - 200 * sizeof(PostingList));
 }
 
 TEST(MemoryTest, FrozenColdListUsesFarLessMemoryThanFlat) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sssj {
 namespace {
 
@@ -159,6 +161,114 @@ TEST(PostingListTest, CapacityBytesCountsAllColumns) {
   // Four columns of 8 bytes each over the backing capacity.
   EXPECT_EQ(list.capacity_bytes() % (4 * 8), 0u);
   EXPECT_GE(list.capacity_bytes(), list.size() * 4 * 8);
+}
+
+// ---- PostingMap: the flat dim directory ----
+
+TEST(PostingMapTest, EmptyMapFindsNothingAndHoldsNothing) {
+  PostingMap map;
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_EQ(map.Find(0xFFFFFFFFu), nullptr);
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_TRUE(map.begin() == map.end());
+  EXPECT_EQ(map.MemoryBytes(), 0u) << "nothing is allocated before insert";
+}
+
+TEST(PostingMapTest, ExtremeDimsAreOrdinaryKeys) {
+  // 0 is also the dim field of an empty slot, and 0xFFFFFFFF is the
+  // largest dim; both must behave like any other dim.
+  PostingMap map;
+  map.Append(0xFFFFFFFFu, 7, 0.5, 0.0, 1.0);
+  EXPECT_EQ(map.Find(0), nullptr);
+  map.Append(0, 3, 0.25, 0.0, 2.0);
+  ASSERT_NE(map.Find(0), nullptr);
+  ASSERT_NE(map.Find(0xFFFFFFFFu), nullptr);
+  EXPECT_NE(map.Find(0), map.Find(0xFFFFFFFFu));
+  EXPECT_EQ(map.Find(0)->id(0), 3u);
+  EXPECT_EQ(map.Find(0xFFFFFFFFu)->id(0), 7u);
+  EXPECT_EQ(map.Find(0xFFFFFFFEu), nullptr);
+  EXPECT_EQ(map.Find(1), nullptr);
+  EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(PostingMapTest, DimsAliasingUnderAPowerOfTwoMaskStayDistinct) {
+  // Multiples of 2^20 are one key to any `dim & mask` directory of up to
+  // 2^20 slots: they must stay distinct lists, and absent dims of the
+  // same pattern must miss.
+  PostingMap map;
+  constexpr DimId kStride = DimId{1} << 20;
+  for (DimId k = 0; k < 300; ++k) {
+    map.Append(k * kStride, k, 1.0, 0.0, static_cast<Timestamp>(k));
+  }
+  EXPECT_EQ(map.size(), 300u);
+  for (DimId k = 0; k < 300; ++k) {
+    const PostingList* list = map.Find(k * kStride);
+    ASSERT_NE(list, nullptr) << k;
+    ASSERT_EQ(list->size(), 1u);
+    EXPECT_EQ(list->id(0), k);
+  }
+  for (DimId k = 300; k < 310; ++k) EXPECT_EQ(map.Find(k * kStride), nullptr);
+  EXPECT_EQ(map.Find(1), nullptr);
+  EXPECT_EQ(map.Find(kStride + 1), nullptr);
+}
+
+TEST(PostingMapTest, GrowthKeepsEveryListAtItsAddress) {
+  PostingMap map;
+  std::vector<const PostingList*> addr;
+  for (DimId d = 0; d < 40; ++d) {
+    map.Append(d * 3, d, 1.0, 0.0, 0.0);
+    addr.push_back(map.Find(d * 3));
+  }
+  const size_t slots_before = map.directory_capacity();
+  for (DimId d = 40; d < 5000; ++d) {
+    map.Append(d * 3, d, 1.0, 0.0, 0.0);
+    // The new posting lands on an old list too: growth must not disturb
+    // lists that keep receiving appends.
+    map.Append((d % 40) * 3, d, 1.0, 0.0, 0.0);
+  }
+  ASSERT_GT(map.directory_capacity(), slots_before) << "directory never grew";
+  ASSERT_GT(map.list_capacity(), 40u) << "chunks never grew";
+  for (DimId d = 0; d < 40; ++d) {
+    EXPECT_EQ(map.Find(d * 3), addr[d]) << "list of dim " << d * 3 << " moved";
+    EXPECT_EQ(addr[d]->id(0), d);
+  }
+  for (DimId d = 0; d < 5000; ++d) {
+    ASSERT_NE(map.Find(d * 3), nullptr) << d;
+    EXPECT_EQ(map.Find(d * 3 + 1), nullptr) << d;
+  }
+  EXPECT_EQ(map.size(), 5000u);
+}
+
+TEST(PostingMapTest, IteratesInInsertionOrder) {
+  PostingMap map;
+  std::vector<DimId> order;
+  for (DimId k = 0; k < 200; ++k) {
+    const DimId dim = (k * 7919u) % 1000u;  // scrambled, distinct
+    order.push_back(dim);
+    map.FindOrCreate(dim);
+    map.Append(dim, k, 1.0, 0.0, 0.0);
+  }
+  std::vector<DimId> seen;
+  std::vector<VectorId> first_ids;
+  for (const auto& [dim, list] : map) {
+    seen.push_back(dim);
+    first_ids.push_back(list.id(0));
+  }
+  EXPECT_EQ(seen, order);
+  for (size_t k = 0; k < first_ids.size(); ++k) EXPECT_EQ(first_ids[k], k);
+}
+
+TEST(PostingMapTest, ClearDropsEveryListAndCanRefill) {
+  PostingMap map;
+  for (DimId d = 0; d < 100; ++d) map.Append(d, d, 1.0, 0.0, 0.0);
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(5), nullptr);
+  EXPECT_EQ(map.MemoryBytes(), 0u);
+  map.Append(5, 9, 1.0, 0.0, 0.0);
+  ASSERT_NE(map.Find(5), nullptr);
+  EXPECT_EQ(map.Find(5)->id(0), 9u);
+  EXPECT_EQ(map.size(), 1u);
 }
 
 }  // namespace

@@ -151,14 +151,19 @@ inline size_t WalkMemoryBytes(const PostingList& list) {
   return bytes;
 }
 
-// The bucket array, then per list its map node (key and pair padding,
-// plus two chaining pointers) and the list itself.
+// The directory slots, the chunk table, every chunk whole (its list
+// objects, used or not), then what each list, visited in insertion order,
+// holds beyond its object.
 inline size_t WalkMemoryBytes(const PostingMap& lists) {
-  size_t bytes = lists.bucket_count() * sizeof(void*);
+  size_t bytes = lists.directory_capacity() * sizeof(PostingMap::Slot) +
+                 lists.chunk_table_capacity() * sizeof(void*) +
+                 lists.list_capacity() * sizeof(PostingMap::Entry);
+  size_t visited = 0;
   for (const auto& [dim, list] : lists) {
-    bytes += sizeof(PostingMap::Map::value_type) - sizeof(PostingList) +
-             2 * sizeof(void*) + WalkMemoryBytes(list);
+    bytes += WalkMemoryBytes(list) - sizeof(PostingList);
+    ++visited;
   }
+  EXPECT_EQ(visited, lists.size()) << "iteration skipped or repeated a list";
   return bytes;
 }
 
