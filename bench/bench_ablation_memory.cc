@@ -152,8 +152,8 @@ int Run(int argc, char** argv) {
       }
     }
 
-    // MB: peak per-window index entries (whole indexes are dropped at
-    // window boundaries, so the window size bounds its footprint).
+    // MB: peak per-window index entries (each window close rebuilds the
+    // index from empty, so the window size bounds its footprint).
     RunConfig cfg;
     cfg.framework = Framework::kMiniBatch;
     cfg.index = IndexScheme::kL2;

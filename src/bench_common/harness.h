@@ -35,7 +35,7 @@ struct RunResult {
   double seconds = 0.0;
   uint64_t pairs = 0;
   // Resident bytes of the live state at end of run. STR: posting columns
-  // + residual store. MB: buffered windows + peak window-index bytes.
+  // + residual store. MB: buffered windows + the retained batch index.
   uint64_t memory_bytes = 0;
   RunStats stats;
   // Adaptive-runtime telemetry: how many live migrations the engine

@@ -72,8 +72,8 @@ struct EngineConfig {
   bool normalize_inputs = true;
   // Threads for the MiniBatch window-close fan-out (any MB scheme),
   // including the calling thread. 0 (default) uses every hardware thread;
-  // 1 keeps the sequential close. Windows with fewer than
-  // MiniBatchJoin::kMinFanOutItems probes close sequentially either way.
+  // 1 keeps the sequential close. Closes too small to pay for the
+  // fork/join (MiniBatchJoin::kMinFanOutWork) run sequentially either way.
   // Deterministic: MB output and RunStats are bit-identical for any
   // value. Ignored by every STR scheme (configuration_notes() says so
   // when it is set above 1). Negative values are treated as 1.
@@ -265,9 +265,9 @@ class SssjEngine {
   // Resident bytes of the live state, exact and O(1) (running totals kept
   // at every mutation; JoinService reads it after each push). STR: the
   // online index (posting lists + residual store) plus retained live
-  // items. MB: the buffered windows plus the peak per-window index
-  // footprint seen this run (the window index only lives inside a close,
-  // so its high-water mark is the capacity signal).
+  // items. MB: the buffered windows plus the batch index the join keeps
+  // between closes (its arrays hold the capacity of the largest window
+  // indexed so far).
   size_t MemoryBytes() const;
 
   const RunStats& stats() const;

@@ -1,6 +1,9 @@
-// Accumulator array C[ι(y)] used during candidate generation (Algorithms 3
-// and 7). Open-addressing hash map with generation stamps so that Reset()
-// is O(1) and no memory churn happens per query.
+// Accumulator array C[ι(y)] of the streaming indexes' candidate
+// generation (Algorithm 7). Open-addressing hash map with generation
+// stamps so that Reset() is O(1) and no memory churn happens per query.
+// The batch (MB) indexes do not use it: a window's size is known when it
+// is indexed, so they accumulate in a dense per-position array
+// (BatchQueryScratch, index/batch_index.h) with the same semantics.
 //
 // Semantics required for correctness (see DESIGN.md §4):
 //  * score 0            — fresh slot: not yet a candidate.
@@ -20,8 +23,8 @@
 //                         dropping either outright is safe.
 //
 // Slots are keyed on `id & mask`, not on a mixing hash. Engines assign
-// ids consecutively, and the candidates of one arrival (a live STR
-// horizon, an MB window) form a contiguous id range, so they fill a
+// ids consecutively, and the candidates of one arrival (the live
+// horizon) form a contiguous id range, so they fill a
 // nearly collision-free, contiguous run of slots that stays cache-local.
 // Linear probing keeps the map correct for any ids; only its speed
 // depends on that locality. The table is allocated on the first
@@ -77,15 +80,18 @@ class CandidateMap {
   void NoteAdmitted() { ++admitted_; }
 
   // Iterates over live candidates (score > 0) of the current generation,
-  // in first-touch order.
-  template <typename Fn>  // Fn(VectorId, double score, Timestamp ts)
-  void ForEachLive(Fn&& fn) const {
+  // in first-touch order. ForEachLiveSlot hands out the whole slot (the
+  // cached decay included).
+  template <typename Fn>  // Fn(const Slot&)
+  void ForEachLiveSlot(Fn&& fn) const {
     for (uint32_t idx : touched_) {
       const Slot& s = slots_[idx];
-      if (s.generation == generation_ && s.score > 0.0) {
-        fn(s.id, s.score, s.ts);
-      }
+      if (s.generation == generation_ && s.score > 0.0) fn(s);
     }
+  }
+  template <typename Fn>  // Fn(VectorId, double score, Timestamp ts)
+  void ForEachLive(Fn&& fn) const {
+    ForEachLiveSlot([&fn](const Slot& s) { fn(s.id, s.score, s.ts); });
   }
 
   size_t touched_count() const { return touched_.size(); }

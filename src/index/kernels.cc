@@ -119,10 +119,12 @@ bool Avx2Available() {
 
 double SparseDot(const SparseVector& a, const SparseVector& b,
                  bool use_simd) {
-  const Coord* ac = a.coords().data();
-  const Coord* bc = b.coords().data();
-  const size_t na = a.nnz();
-  const size_t nb = b.nnz();
+  return SparseDot(a.coords().data(), a.nnz(), b.coords().data(), b.nnz(),
+                   use_simd);
+}
+
+double SparseDot(const Coord* ac, size_t na, const Coord* bc, size_t nb,
+                 bool use_simd) {
 #if defined(SSSJ_KERNELS_X86)
   // The gather-based skips only pay off on skewed merges (the dense side
   // runs several entries per entry of the sparse side — the typical

@@ -58,6 +58,11 @@ void ProductColumn(const double* col, size_t n, double q, double* out);
 // is unchanged.
 double SparseDot(const SparseVector& a, const SparseVector& b, bool use_simd);
 
+// The same over raw sorted coordinate runs (the batch indexes keep each
+// residual prefix as a run of one flat array).
+double SparseDot(const Coord* a, size_t na, const Coord* b, size_t nb,
+                 bool use_simd);
+
 }  // namespace kernels
 }  // namespace sssj
 

@@ -1,11 +1,10 @@
 // Building blocks shared by the ℓ2 streaming indexes (Algorithms 6–8,
 // green lines): kernel selection and scratch, the ℓ2 ablation switches,
-// per-arrival counters, prefix norms, candidate verification, and the
-// index-construction split. StreamL2Index's candidate-generation scan is
-// a private member (index/stream_l2_index.cc); the verification and
+// per-arrival counters, prefix norms, the remscore admission horizon, and
+// the index-construction split. StreamL2Index's candidate generation and
+// verification are private members (index/stream_l2_index.cc); the
 // construction helpers here are also what the seed-faithful AoS reference
-// in tests/aos_equivalence_test.cc runs, so the two stay comparable bound
-// check for bound check.
+// in tests/aos_equivalence_test.cc runs.
 #ifndef SSSJ_INDEX_L2_PHASES_H_
 #define SSSJ_INDEX_L2_PHASES_H_
 
@@ -14,11 +13,8 @@
 #include <limits>
 #include <vector>
 
-#include "core/result.h"
-#include "core/similarity.h"
 #include "core/stats.h"
 #include "core/stream_item.h"
-#include "index/candidate_map.h"
 #include "index/kernels.h"
 #include "index/posting_list.h"
 #include "index/residual_store.h"
@@ -115,46 +111,6 @@ inline double L2AdmitHorizon(double rs2, double theta, double lambda) {
   if (lambda > 0.0) return margin / lambda;
   const double inf = std::numeric_limits<double>::infinity();
   return margin < 0.0 ? -inf : inf;
-}
-
-// ---- Candidate verification (Algorithm 8, green lines) ----
-// Emits every verified pair through `emit` in the (deterministic) order
-// candidates were first touched during generation.
-template <typename EmitFn>
-void L2VerifyCandidates(const StreamItem& x, const DecayParams& params,
-                        const L2IndexOptions& options,
-                        const CandidateMap& cands,
-                        const ResidualStore& residuals,
-                        const L2KernelState* kernel, L2PhaseStats* stats,
-                        EmitFn&& emit) {
-  const bool use_simd = kernel != nullptr && kernel->use_simd;
-  cands.ForEachLive([&](VectorId id, double score, Timestamp ts) {
-    ++stats->verify_calls;
-    const ResidualRecord* rec = residuals.Find(id);
-    if (rec == nullptr) return;  // defensive: record outlives its postings
-    const double decay = std::exp(-params.lambda * (x.ts - ts));
-    if (options.use_ps1_bound) {
-      const double ps1 = (score + rec->q) * decay;
-      if (!BoundAtLeast(ps1, params.theta)) return;
-    }
-    ++stats->full_dots;
-    // SparseDot is bit-identical to x.vec.Dot on both kernel paths; the
-    // SIMD variant only accelerates the merge cursors.
-    const double s = score + kernels::SparseDot(x.vec, rec->prefix, use_simd);
-    const double sim = s * decay;
-    if (sim >= params.theta) {
-      ResultPair p;
-      p.a = id;
-      p.b = x.id;
-      p.ta = ts;
-      p.tb = x.ts;
-      p.dot = s;
-      p.sim = sim;
-      p.Canonicalize();
-      emit(p);
-      ++stats->pairs_emitted;
-    }
-  });
 }
 
 // ---- Index construction (Algorithm 6, green lines) ----

@@ -46,8 +46,7 @@ namespace sssj {
 
 // One posting: vector reference, coordinate value, prefix magnitude
 // ||y'_j|| (the L2AP/L2 addition; unused by INV), and arrival timestamp.
-// The batch indexes store rows of this struct directly; PostingList
-// decomposes it into four parallel columns.
+// PostingList decomposes it into four parallel columns.
 struct PostingEntry {
   VectorId id = 0;
   double value = 0.0;
@@ -457,51 +456,6 @@ class PostingList {
   uint32_t appends_since_scan_ = 0; // dormancy classifier state
   uint32_t scan_gap_ewma_ = 0;      // EWMA arrivals between scans (ticked)
   uint64_t last_scan_tick_ = 0;     // arrival counter at the last scan
-};
-
-// Append-only SoA posting storage for the batch (MB) indexes: the same
-// four columns as PostingList without the circular machinery — a window
-// index is built once, queried, and cleared, so nothing is ever removed
-// from the front. The probe loops read whole contiguous columns, which is
-// what lets the scoring kernels (index/kernels.h) batch the per-entry
-// products.
-class BatchPostingList {
- public:
-  size_t size() const { return id_.size(); }
-  bool empty() const { return id_.empty(); }
-
-  void Append(VectorId id, double value, double prefix_norm, Timestamp ts) {
-    id_.push_back(id);
-    value_.push_back(value);
-    prefix_norm_.push_back(prefix_norm);
-    ts_.push_back(ts);
-  }
-
-  const VectorId* id() const { return id_.data(); }
-  const double* value() const { return value_.data(); }
-  const double* prefix_norm() const { return prefix_norm_.data(); }
-  const Timestamp* ts() const { return ts_.data(); }
-
-  void Clear() {
-    id_.clear();
-    value_.clear();
-    prefix_norm_.clear();
-    ts_.clear();
-  }
-
-  // True per-column footprint of the backing vectors, in bytes.
-  size_t capacity_bytes() const {
-    return id_.capacity() * sizeof(VectorId) +
-           value_.capacity() * sizeof(double) +
-           prefix_norm_.capacity() * sizeof(double) +
-           ts_.capacity() * sizeof(Timestamp);
-  }
-
- private:
-  std::vector<VectorId> id_;
-  std::vector<double> value_;
-  std::vector<double> prefix_norm_;
-  std::vector<Timestamp> ts_;
 };
 
 // The posting lists of one stream index, keyed by dimension, with their

@@ -190,6 +190,47 @@ void StreamL2Index::GenerateCandidates(const StreamItem& x, Timestamp cutoff,
   }
 }
 
+// The decay e^{−λΔt} each candidate needs here was evaluated once by
+// GenerateCandidates and cached in its slot. On the scalar path that is
+// libm std::exp of the same operands (x.ts − the candidate's ts) this
+// loop would pass, so reusing it is bit-exact and saves one exp per live
+// candidate. The SIMD path cached kernels::DecayOne's value, which may
+// differ from libm in the last bits, so it keeps evaluating std::exp here
+// and both kernel paths verify with the same decay.
+void StreamL2Index::VerifyCandidates(const StreamItem& x, L2PhaseStats* stats,
+                                     ResultSink* sink) const {
+  const bool use_simd = kernel_.use_simd;
+  cands_.ForEachLiveSlot([&](const CandidateMap::Slot& slot) {
+    ++stats->verify_calls;
+    const ResidualRecord* rec = residuals_.Find(slot.id);
+    if (rec == nullptr) return;  // defensive: record outlives its postings
+    const double decay =
+        use_simd ? std::exp(-params_.lambda * (x.ts - slot.ts)) : slot.decay;
+    if (options_.use_ps1_bound) {
+      const double ps1 = (slot.score + rec->q) * decay;
+      if (!BoundAtLeast(ps1, params_.theta)) return;
+    }
+    ++stats->full_dots;
+    // SparseDot is bit-identical to x.vec.Dot on both kernel paths; the
+    // SIMD variant only accelerates the merge cursors.
+    const double s =
+        slot.score + kernels::SparseDot(x.vec, rec->prefix, use_simd);
+    const double sim = s * decay;
+    if (sim >= params_.theta) {
+      ResultPair p;
+      p.a = slot.id;
+      p.b = x.id;
+      p.ta = slot.ts;
+      p.tb = x.ts;
+      p.dot = s;
+      p.sim = sim;
+      p.Canonicalize();
+      sink->Emit(p);
+      ++stats->pairs_emitted;
+    }
+  });
+}
+
 void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   const SparseVector& v = x.vec;
   const Timestamp cutoff = x.ts - params_.tau;
@@ -204,9 +245,7 @@ void StreamL2Index::ProcessArrival(const StreamItem& x, ResultSink* sink) {
   GenerateCandidates(x, cutoff, &phase_stats);
 
   // ---- Candidate verification (Algorithm 8, green lines) ----
-  L2VerifyCandidates(x, params_, options_, cands_, residuals_, &kernel_,
-                     &phase_stats,
-                     [sink](const ResultPair& p) { sink->Emit(p); });
+  VerifyCandidates(x, &phase_stats, sink);
 
   // ---- Index construction (Algorithm 6, green lines) ----
   const L2IndexSplit split = L2ComputeIndexSplit(v, params_.theta);

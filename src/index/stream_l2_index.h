@@ -22,9 +22,9 @@
 
 namespace sssj {
 
-// Verification and index construction use the helpers in
-// index/l2_phases.h (which also defines the L2IndexOptions ablation
-// switches); candidate generation is the private GenerateCandidates scan.
+// Index construction uses the helpers in index/l2_phases.h (which also
+// defines the L2IndexOptions ablation switches); candidate generation and
+// verification are the private GenerateCandidates and VerifyCandidates.
 
 class StreamL2Index : public StreamIndex {
  public:
@@ -82,6 +82,10 @@ class StreamL2Index : public StreamIndex {
   // truncates the expired front of every list it scans.
   void GenerateCandidates(const StreamItem& x, Timestamp cutoff,
                           L2PhaseStats* stats);
+  // Candidate verification (Algorithm 8, green lines) of cands_'s live
+  // candidates, emitting in the order they were first touched.
+  void VerifyCandidates(const StreamItem& x, L2PhaseStats* stats,
+                        ResultSink* sink) const;
 
   // Live-candidate counters per `id & kLiveMask` (see GenerateCandidates):
   // 16 KiB, so the past-horizon filter stays in L1.

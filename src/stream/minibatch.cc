@@ -64,7 +64,6 @@ bool MiniBatchJoin::PushItem(Item&& x, ResultSink* sink) {
     // counters restart so a reused join never double-counts.
     started_ = true;
     stats_ = RunStats{};
-    peak_index_bytes_ = 0;
     window_end_ = WindowEndFor(x.ts, window_len_);
   }
   last_ts_ = x.ts;
@@ -101,33 +100,36 @@ void MiniBatchJoin::Flush(ResultSink* sink) {
 void MiniBatchJoin::CloseWindow(ResultSink* sink) {
   if (prev_.empty() && cur_.empty()) return;
 
-  std::unique_ptr<BatchIndex> index = factory_();
+  if (index_ == nullptr) index_ = factory_();
+  BatchIndex& index = *index_;
   // Global max vector over both windows (§6.1): makes AP prefix filtering
   // sound for queries coming from the current window. Only the AP-family
   // bounds read it.
   MaxVector m;
-  if (index->UsesGlobalMax()) {
+  if (index.UsesGlobalMax()) {
     for (const StreamItem& item : prev_) m.UpdateFrom(item.vec, nullptr);
     for (const StreamItem& item : cur_) m.UpdateFrom(item.vec, nullptr);
   }
-  index->Build(prev_, m);
+  index.Build(prev_, m);
+  index_bytes_ = index.MemoryBytes();
 
   // Every probe reads only the now-immutable index, so the self-queries of
   // W_{k−1} and the cross-queries of W_k fan out together when it pays;
   // either path emits the exact same pair sequence.
-  if (pool_ != nullptr && !prev_.empty() &&
-      prev_.size() + cur_.size() >= kMinFanOutItems) {
-    CloseParallel(*index, &pool_->Get(), sink);
+  const uint64_t probes = prev_.size() + cur_.size();
+  if (pool_ != nullptr &&
+      index.stats().entries_indexed * probes >= kMinFanOutWork) {
+    CloseParallel(index, &pool_->Get(), sink);
   } else {
-    CloseSequential(*index, sink);
+    CloseSequential(index, sink);
   }
 
-  // Fold the index statistics into the aggregate; the index — and all
-  // its posting lists — is then dropped wholesale. A batch index only
-  // ever grows, so its entry count at close time is its peak; the
-  // aggregate keeps the max across windows.
-  peak_index_bytes_ = std::max(peak_index_bytes_, index->MemoryBytes());
-  RunStats idx_stats = index->stats();
+  // Fold this window's index statistics into the aggregate and restart
+  // the index's own. A batch index only grows during a window, so its
+  // entry count at close time is its peak; the aggregate keeps the max
+  // across windows.
+  RunStats idx_stats = index.stats();
+  index.stats() = RunStats{};
   idx_stats.vectors_processed = 0;  // already counted in Push
   idx_stats.peak_index_entries = idx_stats.entries_indexed;
   stats_ += idx_stats;
@@ -151,13 +153,11 @@ void MiniBatchJoin::Probe(const BatchIndex& index, size_t i,
 
 void MiniBatchJoin::CloseSequential(const BatchIndex& index,
                                     ResultSink* sink) {
-  // Local, like the index: nothing of the close outlives it.
-  BatchQueryScratch scratch;
-  std::vector<ResultPair> raw;
+  scratch_.stats = RunStats{};
   const size_t n = prev_.size() + cur_.size();
   for (size_t i = 0; i < n; ++i) {
-    Probe(index, i, &scratch, &raw);
-    for (const ResultPair& r : raw) {
+    Probe(index, i, &scratch_, &raw_);
+    for (const ResultPair& r : raw_) {
       ResultPair p;
       if (ApplyDecay(r, &p)) {
         sink->Emit(p);
@@ -165,7 +165,7 @@ void MiniBatchJoin::CloseSequential(const BatchIndex& index,
       }
     }
   }
-  FoldProbeStats(scratch.stats);
+  FoldProbeStats(scratch_.stats);
 }
 
 void MiniBatchJoin::CloseParallel(const BatchIndex& index, ThreadPool* pool,

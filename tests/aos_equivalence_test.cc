@@ -149,9 +149,33 @@ class AosL2Index {
       rst -= c.value * c.value;
     }
 
-    L2VerifyCandidates(x, params_, options_, cands_, residuals_,
-                       /*kernel=*/nullptr, &stats_,
-                       [out](const ResultPair& p) { out->push_back(p); });
+    // Verification (Algorithm 8, green lines), evaluating each live
+    // candidate's decay afresh with libm std::exp.
+    cands_.ForEachLive([&](VectorId id, double score, Timestamp ts) {
+      ++stats_.verify_calls;
+      const ResidualRecord* rec = residuals_.Find(id);
+      if (rec == nullptr) return;
+      const double decay = std::exp(-params_.lambda * (x.ts - ts));
+      if (options_.use_ps1_bound) {
+        const double ps1 = (score + rec->q) * decay;
+        if (!BoundAtLeast(ps1, params_.theta)) return;
+      }
+      ++stats_.full_dots;
+      const double s = score + v.Dot(rec->prefix);
+      const double sim = s * decay;
+      if (sim >= params_.theta) {
+        ResultPair p;
+        p.a = id;
+        p.b = x.id;
+        p.ta = ts;
+        p.tb = x.ts;
+        p.dot = s;
+        p.sim = sim;
+        p.Canonicalize();
+        out->push_back(p);
+        ++stats_.pairs_emitted;
+      }
+    });
 
     const L2IndexSplit split = L2ComputeIndexSplit(v, params_.theta);
     if (split.first_indexed < n) {

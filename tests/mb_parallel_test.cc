@@ -183,8 +183,8 @@ TEST(MiniBatchParallelTest, TinyWindowsFallBackToSequentialPath) {
 
 // ---- one fork/join per close: self- and cross-queries together ----
 
-// Windows of a few hundred items, so every close has well over
-// MiniBatchJoin::kMinFanOutItems probes and takes the fan-out.
+// Windows of a few hundred items, so every close's work is well over
+// MiniBatchJoin::kMinFanOutWork and takes the fan-out.
 Stream BigWindowStream(uint64_t seed) {
   RandomStreamSpec spec;
   spec.n = 1500;

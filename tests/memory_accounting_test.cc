@@ -2,11 +2,12 @@
 // kept at the mutation sites, and must equal the from-scratch walk
 // (testing::WalkMemoryBytes) after every operation — posting-list
 // freeze, expiry and compaction, residual-store inserts, expiry and L2AP
-// prefix shrinking, checkpoint restore, scheme migration and MB window
-// rotation. property_test.cc and tiered_posting_test.cc run the same
+// prefix shrinking, checkpoint restore, scheme migration, MB window
+// rotation and batch index rebuilds. property_test.cc and tiered_posting_test.cc run the same
 // check over every framework × scheme, tiered on and off.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,7 +15,9 @@
 #include "core/decay.h"
 #include "core/engine.h"
 #include "index/decayed_stream_index.h"
+#include "index/inv_index.h"
 #include "index/posting_list.h"
+#include "index/prefix_index.h"
 #include "index/residual_store.h"
 #include "index/stream_l2ap_index.h"
 #include "tests/test_util.h"
@@ -297,6 +300,39 @@ TEST(MemoryAccountingTest, MiniBatchFlushAndReuseKeepTotalsExact) {
     PushChecked(engine.get(), stream);
     engine->Flush();
     EXPECT_EQ(engine->MemoryBytes(), WalkMemoryBytes(*engine));
+  }
+}
+
+// One batch index rebuilt over windows that grow and then shrink: after
+// every Build its total equals the walk over the directory, the CSR
+// columns, the per-position arrays and the self-query records. Build
+// keeps capacity, so the total never falls; Clear releases everything.
+TEST(MemoryAccountingTest, BatchIndexRebuildsKeepTotalsExact) {
+  const Stream stream = AccountingStream(41, 420);
+  std::vector<std::unique_ptr<BatchIndex>> indexes;
+  indexes.push_back(std::make_unique<InvIndex>(0.6));
+  indexes.push_back(std::make_unique<ApIndex>(0.6));
+  indexes.push_back(std::make_unique<L2apIndex>(0.6));
+  indexes.push_back(std::make_unique<L2Index>(0.6));
+  for (const auto& index : indexes) {
+    SCOPED_TRACE(index->name());
+    size_t before = 0;
+    auto next = stream.begin();
+    for (const size_t size : {20u, 80u, 200u, 60u, 0u, 40u}) {
+      const Stream window(next, next + static_cast<std::ptrdiff_t>(size));
+      next += static_cast<std::ptrdiff_t>(size);
+      MaxVector m;
+      for (const StreamItem& item : window) m.UpdateFrom(item.vec, nullptr);
+      index->Build(window, m);
+      ASSERT_EQ(index->MemoryBytes(), WalkMemoryBytes(*index))
+          << "window of " << size;
+      EXPECT_GE(index->MemoryBytes(), before) << "window of " << size;
+      before = index->MemoryBytes();
+    }
+    EXPECT_GT(before, 0u);
+    index->Clear();
+    EXPECT_EQ(index->MemoryBytes(), 0u);
+    EXPECT_EQ(WalkMemoryBytes(*index), 0u);
   }
 }
 

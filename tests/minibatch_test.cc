@@ -284,10 +284,12 @@ TEST(MiniBatchTest, MemoryBytesTracksWindowsAndPeakIndex) {
   for (const StreamItem& item : stream) mb.Push(item, &sink);
   EXPECT_GT(mb.MemoryBytes(), 0u);  // buffered windows count
   mb.Flush(&sink);
-  // Windows drained; the peak per-window index footprint remains visible.
+  // Windows drained; the retained index stays resident and is counted.
   EXPECT_EQ(mb.pending_current(), 0u);
   EXPECT_EQ(mb.pending_previous(), 0u);
-  EXPECT_GT(mb.MemoryBytes(), 0u);
+  ASSERT_NE(mb.index(), nullptr);
+  EXPECT_GT(mb.index()->MemoryBytes(), 0u);
+  EXPECT_EQ(mb.MemoryBytes(), mb.index()->MemoryBytes());
 }
 
 TEST(MiniBatchTest, FlushIsIdempotentAndReusable) {

@@ -14,7 +14,9 @@
 #include "core/result.h"
 #include "core/stream_item.h"
 #include "index/decayed_stream_index.h"
+#include "index/inv_index.h"
 #include "index/posting_list.h"
+#include "index/prefix_index.h"
 #include "index/residual_store.h"
 #include "index/stream_inv_index.h"
 #include "index/stream_l2_index.h"
@@ -209,15 +211,51 @@ inline size_t WalkItemBytes(const JoinCore& core) {
   return bytes;
 }
 
+// A batch index: the directory's slots, then every array, by capacity.
+inline size_t WalkMemoryBytes(const BatchStorage& s) {
+  size_t bytes = s.dims.slots().capacity() * sizeof(DimDirectory::Slot);
+  for (const std::vector<uint32_t>* v :
+       {&s.begin, &s.fill, &s.post_pos, &s.prefix_off, &s.self.offset,
+        &s.self.dim, &s.self.limit}) {
+    bytes += v->capacity() * sizeof(uint32_t);
+  }
+  for (const std::vector<double>* v :
+       {&s.mhat, &s.post_value, &s.post_pn, &s.q, &s.size_weight,
+        &s.prefix_sum, &s.prefix_max, &s.self.mhat}) {
+    bytes += v->capacity() * sizeof(double);
+  }
+  bytes += s.id.capacity() * sizeof(VectorId);
+  bytes += s.ts.capacity() * sizeof(Timestamp);
+  bytes += s.prefix.capacity() * sizeof(Coord);
+  return bytes;
+}
+
+inline size_t WalkMemoryBytes(const BatchIndex& index) {
+  if (auto* ix = dynamic_cast<const InvIndex*>(&index)) {
+    return WalkMemoryBytes(ix->storage());
+  }
+  if (auto* ix = dynamic_cast<const ApIndex*>(&index)) {
+    return WalkMemoryBytes(ix->storage());
+  }
+  if (auto* ix = dynamic_cast<const L2apIndex*>(&index)) {
+    return WalkMemoryBytes(ix->storage());
+  }
+  if (auto* ix = dynamic_cast<const L2Index*>(&index)) {
+    return WalkMemoryBytes(ix->storage());
+  }
+  ADD_FAILURE() << "no accounting walk for batch index " << index.name();
+  return 0;
+}
+
 // STR: the index plus the retained live items; MB: the two buffered
-// windows plus the per-window index high-water mark (batch indexes keep
-// their own walk — they are sized once per window close).
+// windows plus the retained batch index, if a close has created it.
 inline size_t WalkMemoryBytes(const JoinCore& core) {
   if (const StreamingJoin* str = core.AsStreaming()) {
     return WalkMemoryBytes(str->index()) + WalkItemBytes(core);
   }
   if (auto* mb = dynamic_cast<const MiniBatchJoin*>(&core)) {
-    return WalkItemBytes(core) + mb->peak_index_bytes();
+    return WalkItemBytes(core) +
+           (mb->index() == nullptr ? 0 : WalkMemoryBytes(*mb->index()));
   }
   ADD_FAILURE() << "no accounting walk for this JoinCore";
   return 0;
